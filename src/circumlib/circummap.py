@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circumcenter import CircumcenterOutcome, PointSet, circumcenter
-from .geometry import DEFAULT_TOL, Tolerances, as_vector, orthonormal_basis
+from .circumcenter import CircumcenterOutcome, PointSet, _exists_rows, circumcenter
+from .geometry import DEFAULT_TOL, Tolerances, as_vector
 from .operators import AffineComb, AffineSubspace, Identity, Operator, ReflAffine, apply
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "evaluate_set",
     "cc_map",
     "in_domain",
+    "classify_points",
     "check_properness_sampled",
     "fixed_point_residual",
     "demiclosedness_probe",
@@ -107,18 +108,39 @@ def in_domain(S: OperatorSet, x, tol: Tolerances = DEFAULT_TOL) -> DomainDiagnos
     """Pointwise domain membership with the cardinality/dependence breakdown."""
     images = evaluate_set(S, x, tol)
     card = len(images)
-    pts = images.points
-    diffs = [p - pts[0] for p in pts[1:]]
-    independent = len(orthonormal_basis(diffs, tol)[0]) == card - 1
     outcome = circumcenter(images, tol)
+    independent = card <= 2 or len(outcome.basis_indices) == card
 
     witness = None
     if card == 3 and not independent:
-        D = np.array(diffs).T
+        pts = images.points
+        D = (pts[1:] - pts[0]).T
         # Smallest right singular vector of [d2 d3] is a dependence witness.
         _, _, vt = np.linalg.svd(D, full_matrices=True)
         witness = (float(vt[-1, 0]), float(vt[-1, 1]))
     return DomainDiagnosis(outcome.exists, card, independent, witness)
+
+
+def classify_points(S: OperatorSet, X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """``in_domain(S, x, tol).in_domain`` for every row ``x`` of ``X`` (N, n),
+    as a boolean array.
+
+    The images are evaluated for all rows at once, as an (N, m, n) array, and
+    deduplicated, orthonormalized, solved and verified as arrays with the
+    scalar path's thresholds.  A row whose decision comes within
+    ``circumcenter.SETTLE_FACTOR`` of a threshold is decided by
+    :func:`in_domain` itself, so every answer is the pointwise answer.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected an (N, n) array of points, got shape {X.shape}")
+    images = np.stack([apply(op, X) for op in S], axis=1)
+    if not np.all(np.isfinite(images)):
+        raise ValueError("vector entries must be finite")
+    inside, settled = _exists_rows(images, tol)
+    for i in np.flatnonzero(~settled):
+        inside[i] = in_domain(S, X[i], tol).in_domain
+    return inside
 
 
 def check_properness_sampled(

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circumcenter import circumcenter_three
-from .circummap import OperatorSet, cc_map, evaluate_set, fixed_point_residual, in_domain
+from .circummap import (
+    OperatorSet,
+    cc_map,
+    classify_points,
+    evaluate_set,
+    fixed_point_residual,
+    in_domain,
+)
 from .geometry import DEFAULT_TOL, Tolerances, as_vector
 from .operators import (
     AffineComb,
@@ -1287,10 +1294,14 @@ class ProbeGrid:
     ymax: float
     ny: int
 
+    def coordinates(self) -> np.ndarray:
+        """The grid points as the rows of an (nx * ny, 2) array, x varying fastest."""
+        xs = np.linspace(self.xmin, self.xmax, max(self.nx, 0))
+        ys = np.linspace(self.ymin, self.ymax, max(self.ny, 0))
+        return np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
+
     def points(self):
-        xs = np.linspace(self.xmin, self.xmax, self.nx) if self.nx > 0 else []
-        ys = np.linspace(self.ymin, self.ymax, self.ny) if self.ny > 0 else []
-        return [np.array([x, y]) for y in ys for x in xs]
+        return list(self.coordinates())
 
 
 def domain_probe(S: OperatorSet, grid: ProbeGrid, tol: Tolerances = DEFAULT_TOL,
@@ -1298,14 +1309,10 @@ def domain_probe(S: OperatorSet, grid: ProbeGrid, tol: Tolerances = DEFAULT_TOL,
     """Classify every grid point; returns (rows, agreement) where rows are
     (x, y, in_domain) and agreement is the match rate against ``member``
     (None when no reference predicate is given)."""
-    rows = []
-    agree = 0
-    total = 0
-    for p in grid.points():
-        inside = in_domain(S, p, tol).in_domain
-        rows.append((float(p[0]), float(p[1]), inside))
-        if member is not None:
-            total += 1
-            agree += int(bool(member(p)) == inside)
-    agreement = (agree / total) if member is not None and total else None
+    X = grid.coordinates()
+    inside = classify_points(S, X, tol).tolist()
+    rows = [(x, y, f) for (x, y), f in zip(X.tolist(), inside)]
+    agreement = None
+    if member is not None and inside:
+        agreement = sum(bool(member(p)) == f for p, f in zip(X, inside)) / len(inside)
     return rows, agreement

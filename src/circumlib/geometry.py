@@ -1,5 +1,5 @@
-"""Small dense linear algebra: rank-revealing orthogonalization, Gram systems,
-affine-hull bases.
+"""Small dense linear algebra: rank-revealing orthogonalization, Gram
+matrices, affine-hull bases.
 
 Everything in this module is sized for tiny problems (dimensions and family
 sizes in the single digits), so the implementations favour determinism and
@@ -17,23 +17,17 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "DimensionMismatchError",
-    "SingularMatrixError",
     "as_vector",
     "gram",
     "orthonormal_basis",
     "rank",
     "orthonormal_complement",
-    "solve_sym",
     "affine_hull_basis",
 ]
 
 
 class DimensionMismatchError(ValueError):
     """Vectors of different ambient dimensions were mixed."""
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """A pivot fell below the rank tolerance during factorization."""
 
 
 @dataclass(frozen=True)
@@ -163,43 +157,6 @@ def orthonormal_complement(vectors, dim: int, tol: Tolerances = DEFAULT_TOL):
     if len(comp) != dim - len(basis):
         raise np.linalg.LinAlgError("complement rank disagrees with span rank")
     return comp
-
-
-def solve_sym(A, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve ``A x = b`` for symmetric positive definite ``A`` via Cholesky.
-
-    Intended for the small Gram systems built from pivoted difference
-    families.  Raises :class:`SingularMatrixError` when a pivot falls below
-    ``tol.rank_tol`` times the largest diagonal entry.
-    """
-    A = np.asarray(A, dtype=float)
-    b = as_vector(b)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if len(b) != n:
-        raise DimensionMismatchError("right-hand side length does not match matrix")
-    if not np.allclose(A, A.T, atol=1e-12 * (1 + np.abs(A).max())):
-        raise ValueError("matrix is not symmetric")
-
-    diag_scale = max(A.diagonal().max(), 0.0)
-    if diag_scale == 0.0:
-        raise SingularMatrixError("zero matrix")
-    L = np.zeros_like(A)
-    for i in range(n):
-        d = A[i, i] - np.dot(L[i, :i], L[i, :i])
-        if d <= tol.rank_tol * diag_scale:
-            raise SingularMatrixError(f"pivot {i} underflowed rank tolerance")
-        L[i, i] = np.sqrt(d)
-        for j in range(i + 1, n):
-            L[j, i] = (A[j, i] - np.dot(L[j, :i], L[i, :i])) / L[i, i]
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (b[i] - np.dot(L[i, :i], y[:i])) / L[i, i]
-    x = np.zeros(n)
-    for i in reversed(range(n)):
-        x[i] = (y[i] - np.dot(L[i + 1:, i], x[i + 1:])) / L[i, i]
-    return x
 
 
 def affine_hull_basis(points, tol: Tolerances = DEFAULT_TOL):

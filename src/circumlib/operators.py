@@ -4,7 +4,8 @@ resolvents.
 
 Operators are immutable value trees evaluated by :func:`apply`; composition is
 right-to-left, so ``Compose([f, g])`` applies ``g`` first (matching the usual
-notation f.g for "f after g").
+notation f.g for "f after g").  Every node also maps the rows of an (N, n)
+array at once.
 """
 
 from __future__ import annotations
@@ -58,6 +59,16 @@ class UnsupportedNodeError(TypeError):
 
 class EmptyIntersectionError(ValueError):
     """The requested intersection of affine subspaces is empty."""
+
+
+def _as_points(x) -> np.ndarray:
+    """A finite 1-D vector, or a finite (N, n) array whose rows are points."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 2:
+        return as_vector(v)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector entries must be finite")
+    return v
 
 
 class AffineSubspace:
@@ -135,16 +146,15 @@ class AffineSubspace:
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the subspace: anchor + sum <x-anchor, b_i> b_i."""
-        x = as_vector(x)
-        if len(x) != self.dim_ambient:
+        x = _as_points(x)
+        if x.shape[-1] != self.dim_ambient:
             raise DimensionMismatchError("point dimension differs from subspace ambient dimension")
         d = x - self.anchor
-        if self.dim == 0:
-            return self.anchor.copy()
-        return self.anchor + self.basis.T @ (self.basis @ d)
+        # d.T is d itself for one point and the points as columns for rows.
+        return self.anchor + (self.basis.T @ (self.basis @ d.T)).T
 
     def reflect(self, x) -> np.ndarray:
-        x = as_vector(x)
+        x = _as_points(x)
         return 2.0 * self.project(x) - x
 
     def contains(self, x, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -296,38 +306,37 @@ class AffineComb(Operator):
 
 def project_ball(ball: Ball, x) -> np.ndarray:
     """x if inside, else the radial point c + r (x-c)/|x-c|."""
-    x = as_vector(x)
+    x = _as_points(x)
     d = x - ball.center
-    nd = np.linalg.norm(d)
-    if nd <= ball.radius:
-        return x.copy()
-    return ball.center + ball.radius * d / nd
+    nd = np.linalg.norm(d, axis=-1, keepdims=True)
+    outside = nd > ball.radius
+    return np.where(outside, ball.center + ball.radius * d / np.where(outside, nd, 1.0), x)
 
 
 def project_sphere(center, radius: float, x) -> np.ndarray:
-    x = as_vector(x)
+    x = _as_points(x)
     d = x - center
-    nd = np.linalg.norm(d)
-    if nd == 0.0:
-        d = np.zeros_like(x)
-        d[0] = 1.0
-        return center + radius * d
-    return center + radius * d / nd
+    nd = np.linalg.norm(d, axis=-1, keepdims=True)
+    at_center = nd == 0.0
+    axis = np.zeros(x.shape[-1])
+    axis[0] = 1.0
+    return np.where(at_center, center + radius * axis,
+                    center + radius * d / np.where(at_center, 1.0, nd))
 
 
 def apply(op: Operator, x) -> np.ndarray:
-    """Evaluate an operator tree at ``x``."""
-    x = as_vector(x)
+    """Evaluate an operator tree at ``x``, or at every row of an (N, n) ``x``."""
+    x = _as_points(x)
     if isinstance(op, Identity):
         return x.copy()
     if isinstance(op, Constant):
-        if len(op.value) != len(x):
+        if len(op.value) != x.shape[-1]:
             raise DimensionMismatchError("constant value dimension differs from input")
-        return op.value.copy()
+        return np.broadcast_to(op.value, x.shape).copy()
     if isinstance(op, ScaledId):
         return op.gamma * x
     if isinstance(op, Translate):
-        if len(op.offset) != len(x):
+        if len(op.offset) != x.shape[-1]:
             raise DimensionMismatchError("translation offset dimension differs from input")
         return x + op.offset
     if isinstance(op, ProjAffine):
@@ -339,7 +348,7 @@ def apply(op: Operator, x) -> np.ndarray:
     if isinstance(op, ReflBall):
         return 2.0 * project_ball(op.ball, x) - x
     if isinstance(op, ProjBox):
-        if len(op.lower) != len(x):
+        if len(op.lower) != x.shape[-1]:
             raise DimensionMismatchError("box dimension differs from input")
         return np.clip(x, op.lower, op.upper)
     if isinstance(op, ProjSphere):

@@ -6,6 +6,7 @@ from circumlib.circummap import (
     affine_comb_identity_check,
     cc_map,
     check_properness_sampled,
+    classify_points,
     demiclosedness_probe,
     evaluate_set,
     fixed_point_residual,
@@ -23,6 +24,7 @@ from circumlib.operators import (
     ProjAffine,
     ReflAffine,
     ScaledId,
+    Translate,
     apply,
     intersect_affine,
 )
@@ -147,6 +149,118 @@ def test_in_domain_unit_scaling_everywhere():
     S = OperatorSet((ScaledId(1.0), ReflAffine(X_AXIS), ReflAffine(Y_AXIS)))
     probes = gaussian_cloud(2, 20, seed=3) + [np.array([1.0, 0.0]), np.zeros(2)]
     assert all(in_domain(S, x).in_domain for x in probes)
+
+
+def test_in_domain_near_collinear_images_have_a_circumcenter():
+    # ball-line-s2 on the probe grid of seed 787825429 (the grid window shifted
+    # by a seeded offset under one step), at the point nearest
+    # (-2.98753, -0.335718).  Its images are near-collinear (singular-value
+    # ratio of their differences about 1.1e-6), so a rank test on the squared
+    # (Gram matrix) scale would reject them, yet their circumcenter exists.
+    from fractions import Fraction
+
+    from circumlib.circumcenter import PointSet, circumcenter_oracle
+    from circumlib.gallery import ProbeGrid, scenario
+
+    rng = np.random.default_rng(787825429)
+    dx, dy = rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2)
+    X = ProbeGrid(-4.0 + dx, 4.0 + dx, 41, -2.0 + dy, 2.0 + dy, 21).coordinates()
+    k = int(np.argmin(np.linalg.norm(X - (-2.98753, -0.335718), axis=1)))
+    S = scenario("ball-line-s2").operator_set
+    diag = in_domain(S, X[k])
+    assert diag.in_domain and diag.card == 3 and diag.affinely_independent
+    assert classify_points(S, X)[k]
+
+    images = evaluate_set(S, X[k])
+    oracle = circumcenter_oracle(PointSet(images.points))
+    got = cc_map(S, X[k])
+    assert oracle.exists and got.exists
+    # The exact circumcenter of the floating-point images, in rationals.
+    x1, x2, x3 = [[Fraction(float(v)) for v in p] for p in images.points]
+    a = [x2[0] - x1[0], x2[1] - x1[1]]
+    b = [x3[0] - x1[0], x3[1] - x1[1]]
+    ra, rb = (a[0] ** 2 + a[1] ** 2) / 2, (b[0] ** 2 + b[1] ** 2) / 2
+    det = a[0] * b[1] - a[1] * b[0]
+    exact = np.array([float(x1[0] + (ra * b[1] - a[1] * rb) / det),
+                      float(x1[1] + (a[0] * rb - ra * b[0]) / det)])
+    # The differences from the first image carry the 8e-5 chord between the
+    # other two with a rounding error of about 4e-16, which moves any center
+    # solved from them by about 5e-12 relative (the rounding of those
+    # differences, not the solve, sets this floor).
+    scale = np.linalg.norm(exact)
+    assert np.linalg.norm(got.center - exact) <= 1e-11 * scale
+    assert np.linalg.norm(got.center - oracle.center) <= 1e-11 * scale
+
+
+# -- array classification ----------------------------------------------------------
+
+
+def _two_dimensional_domain_scenarios():
+    from circumlib.gallery import DomainSpec, catalog
+
+    return [s for s in catalog()
+            if isinstance(s.expected, DomainSpec) and s.operator_set is not None and s.dim == 2]
+
+
+@pytest.mark.parametrize("s", _two_dimensional_domain_scenarios(), ids=lambda s: s.name)
+def test_classify_points_equals_in_domain_on_the_probe_grid(s):
+    from circumlib.gallery import ProbeGrid
+
+    # Unshifted, the grid hits x = +-2 and y = 0 exactly.
+    X = ProbeGrid(-4.0, 4.0, 41, -2.0, 2.0, 21).coordinates()
+    want = [in_domain(s.operator_set, x).in_domain for x in X]
+    assert classify_points(s.operator_set, X).tolist() == want
+
+
+def _counting_in_domain(monkeypatch):
+    import circumlib.circummap as circummap
+
+    calls = []
+
+    def counted(S, x, tol):
+        calls.append(x)
+        return in_domain(S, x, tol)
+
+    monkeypatch.setattr(circummap, "in_domain", counted)
+    return calls
+
+
+@pytest.mark.parametrize("S", [
+    # images x and x + (d, 0) at d = 5-11 and 0.05-0.11 times dup_tol * scale
+    # (scale, the largest image norm or 1, is 1 to 2 here), beside a third
+    # image at distance 1
+    OperatorSet((Identity(), Translate([1.1e-11, 0.0]), Translate([0.0, 1.0]))),
+    OperatorSet((Identity(), Translate([1.1e-13, 0.0]), Translate([0.0, 1.0]))),
+    # the third image off the line through the first two by a residual of
+    # about 10 and 0.1 times rank_tol * scale (scale is 2 here)
+    OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 4e-9]))),
+    OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 4e-11]))),
+], ids=["dup-above", "dup-below", "rank-above", "rank-below"])
+def test_classify_points_leaves_near_threshold_rows_to_in_domain(monkeypatch, S):
+    X = gaussian_cloud(2, 6, seed=8, scale=0.3)
+    want = [in_domain(S, x).in_domain for x in X]
+    calls = _counting_in_domain(monkeypatch)
+    assert classify_points(S, np.array(X)).tolist() == want
+    assert len(calls) == len(X)
+
+
+def test_classify_points_decides_clear_rows_as_arrays(monkeypatch):
+    S = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([0.0, 1.0]),
+                     ReflAffine(X_AXIS)))
+    X = np.array(gaussian_cloud(2, 40, seed=9) + [np.array([1.0, 0.0])])
+    want = [in_domain(S, x).in_domain for x in X]
+    calls = _counting_in_domain(monkeypatch)
+    assert classify_points(S, X).tolist() == want
+    assert calls == []
+    assert want[-1] and not all(want)
+
+
+def test_classify_points_input_shapes():
+    assert classify_points(S_TWO_LINES, np.zeros((0, 2))).shape == (0,)
+    with pytest.raises(ValueError):
+        classify_points(S_TWO_LINES, np.zeros(2))
+    with pytest.raises(ValueError):
+        classify_points(S_TWO_LINES, np.array([[0.0, np.nan]]))
 
 
 def test_check_properness_reflector_family_clean():

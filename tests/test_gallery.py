@@ -98,6 +98,8 @@ def test_domain_probe_ball_line():
     grid = ProbeGrid(-4.0, 4.0, 17, -1.0, 1.0, 3)
     rows, agreement = domain_probe(s.operator_set, grid, member=s.expected.member)
     assert agreement == 1.0
+    assert all(type(x) is float and type(y) is float and type(inside) is bool
+               for x, y, inside in rows)
     by_point = {(x, y): inside for x, y, inside in rows}
     assert by_point[(-2.0, 0.0)] is False
     assert by_point[(0.0, 1.0)] is True

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from circumlib.geometry import (
     DEFAULT_TOL,
-    SingularMatrixError,
     Tolerances,
     affine_hull_basis,
     gram,
     orthonormal_basis,
     orthonormal_complement,
     rank,
-    solve_sym,
 )
 
 
@@ -127,52 +125,6 @@ def test_rank_invariance_scaling_permutation(scale, seed, which):
     assert rank(scaled) == base
     perm = rng.permutation(len(vecs))
     assert rank([vecs[i] for i in perm]) == base
-
-
-def test_solve_sym_identity():
-    b = np.array([2.0, -1.0, 0.5])
-    np.testing.assert_allclose(solve_sym(np.eye(3), b), b)
-
-
-def test_solve_sym_hand_check():
-    x = solve_sym(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
-    np.testing.assert_allclose(x, [1.0, 1.0])
-
-
-def test_solve_sym_gram_system_reproduces_center():
-    # Gram system of the fold family at the first sequence point; the solved
-    # coefficients must rebuild the circumcenter (0, -5.875).
-    x1 = np.array([2.0, 0.0])
-    d2 = np.array([-4.0, 0.0])
-    d3 = np.array([1.0, 0.25]) - x1
-    G = gram([d2, d3])
-    rhs = np.array([d2 @ d2, d3 @ d3])
-    lam = solve_sym(G, rhs)
-    center = x1 + 0.5 * (lam[0] * d2 + lam[1] * d3)
-    np.testing.assert_allclose(center, [0.0, -5.875], atol=1e-12)
-    assert np.linalg.norm(G @ lam - rhs) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
-
-
-def test_solve_sym_residual_bound_random():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = rng.integers(1, 6)
-        M = rng.standard_normal((n + 2, n))
-        A = M.T @ M + 0.1 * np.eye(n)
-        b = rng.standard_normal(n)
-        x = solve_sym(A, b)
-        assert np.linalg.norm(A @ x - b) <= 1e-8 * (1.0 + np.linalg.norm(b))
-
-
-def test_solve_sym_singular_raises():
-    A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(SingularMatrixError):
-        solve_sym(A, np.array([1.0, 1.0]))
-
-
-def test_solve_sym_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        solve_sym(np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
 
 def test_affine_hull_single_point():

@@ -9,11 +9,15 @@ from circumlib.operators import (
     Ball,
     Compose,
     Constant,
+    DimensionMismatchError,
     EmptyIntersectionError,
     Identity,
+    ProjAffine,
     ProjBall,
     ProjBox,
+    ProjSphere,
     ReflAffine,
+    ReflBall,
     ScaledId,
     Translate,
     UnsupportedNodeError,
@@ -130,6 +134,51 @@ def test_projbox_clamps():
     np.testing.assert_allclose(apply(quadrant, [-1.0, 2.0]), [0.0, 2.0])
     R = reflector_of(quadrant)
     np.testing.assert_allclose(apply(R, [-1.0, 2.0]), [1.0, 2.0])
+
+
+def _every_node(rng, n):
+    """One node of every type, with random parameters in R^n."""
+    U = rand_subspace(rng, n)
+    ball = Ball(rng.standard_normal(n), float(rng.uniform(0.5, 2.0)))
+    lower = rng.standard_normal(n) - 1.0
+    nodes = [
+        Identity(),
+        Constant(rng.standard_normal(n)),
+        ScaledId(float(rng.uniform(-2.0, 2.0))),
+        Translate(rng.standard_normal(n)),
+        ProjAffine(U),
+        ReflAffine(U),
+        ProjBall(ball),
+        ReflBall(ball),
+        ProjBox(lower, lower + rng.uniform(0.0, 2.0, n)),
+        ProjSphere(ball.center, ball.radius),
+    ]
+    nodes.append(Compose(tuple(nodes[4:])))
+    nodes.append(AffineComb(((0.5, nodes[5]), (0.75, nodes[7]), (-0.25, nodes[9]))))
+    return nodes, ball
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000), n=st.integers(min_value=1, max_value=4))
+def test_apply_rows_matches_apply_per_point(seed, n):
+    rng = np.random.default_rng(seed)
+    nodes, ball = _every_node(rng, n)
+    # Random rows, one at the sphere's (and ball's) center, one inside the ball.
+    X = np.vstack([3.0 * rng.standard_normal((5, n)), ball.center,
+                   ball.center + 0.5 * ball.radius * rng.uniform(-1, 1, n) / np.sqrt(n)])
+    for op in nodes:
+        rows = apply(op, X)
+        assert rows.shape == X.shape
+        for x, row in zip(X, rows):
+            np.testing.assert_allclose(row, apply(op, x), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("op", [
+    Constant(np.zeros(3)), Translate(np.zeros(3)), ProjBox(np.zeros(3), np.ones(3))])
+@pytest.mark.parametrize("x", [np.zeros(2), np.zeros((4, 2))], ids=["point", "rows"])
+def test_apply_dimension_mismatch(op, x):
+    with pytest.raises(DimensionMismatchError):
+        apply(op, x)
 
 
 # -- words -------------------------------------------------------------------------
