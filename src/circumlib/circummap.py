@@ -17,7 +17,7 @@ import numpy as np
 
 from .circumcenter import CircumcenterOutcome, PointSet, _exists_rows, circumcenter
 from .geometry import DEFAULT_TOL, Tolerances, as_vector
-from .operators import AffineComb, AffineSubspace, Identity, Operator, ReflAffine, apply
+from .operators import AffineComb, Identity, Operator, ProjAffine, ReflAffine, apply, reflector_word
 
 __all__ = [
     "OperatorSet",
@@ -31,6 +31,7 @@ __all__ = [
     "check_properness_sampled",
     "fixed_point_residual",
     "demiclosedness_probe",
+    "relaxation",
     "relaxed_set",
     "affine_comb_identity_check",
     "gaussian_cloud",
@@ -56,6 +57,19 @@ class OperatorSet:
 
     def __iter__(self):
         return iter(self.ops)
+
+    @classmethod
+    def reflectors(cls, subspaces, name: str = "") -> "OperatorSet":
+        """The family {Id, R_U1, ..., R_Um}."""
+        return cls((Identity(), *(ReflAffine(U) for U in subspaces)), name)
+
+    @classmethod
+    def prefix_words(cls, subspaces, name: str = "") -> "OperatorSet":
+        """The family {Id, R_U1, R_U2 R_U1, ..., R_Um ... R_U1} of the identity
+        and the reflector words over the first k subspaces, k = 1..m."""
+        subs = list(subspaces)
+        words = (reflector_word(subs, range(1, k + 1)) for k in range(1, len(subs) + 1))
+        return cls((Identity(), *words), name)
 
 
 @dataclass(frozen=True)
@@ -202,23 +216,19 @@ def demiclosedness_probe(
     return DemiclosednessReport(residuals, limit, limit_residual, fixed, vanish)
 
 
+def relaxation(alpha: float, op: Operator) -> Operator:
+    """The relaxation (1-alpha) Id + alpha op; ``op`` itself when alpha is 1."""
+    if alpha == 1.0:
+        return op
+    return AffineComb(((1.0 - alpha, Identity()), (alpha, op)))
+
+
 def relaxed_set(subspaces, alpha: float, projectors: bool = False) -> OperatorSet:
     """Family {Id} + {(1-alpha) Id + alpha R_U} (or with projectors P_U)."""
-    ops: list[Operator] = [Identity()]
-    for U in subspaces:
-        inner = _proj_or_refl(U, projectors)
-        if alpha == 1.0:
-            ops.append(inner)
-        else:
-            ops.append(AffineComb(((1.0 - alpha, Identity()), (alpha, inner))))
+    node = ProjAffine if projectors else ReflAffine
+    ops = (Identity(), *(relaxation(alpha, node(U)) for U in subspaces))
     kind = "P" if projectors else "R"
-    return OperatorSet(tuple(ops), name=f"relaxed-{kind}(alpha={alpha})")
-
-
-def _proj_or_refl(U: AffineSubspace, projectors: bool) -> Operator:
-    from .operators import ProjAffine
-
-    return ProjAffine(U) if projectors else ReflAffine(U)
+    return OperatorSet(ops, name=f"relaxed-{kind}(alpha={alpha})")
 
 
 def affine_comb_identity_check(
@@ -231,7 +241,7 @@ def affine_comb_identity_check(
     unrelaxed reflector family (with ``a`` halved in the projector variant).
     """
     x = as_vector(x)
-    base = OperatorSet((Identity(), *[ReflAffine(U) for U in subspaces]), name="reflectors")
+    base = OperatorSet.reflectors(subspaces, "reflectors")
     relaxed = relaxed_set(subspaces, alpha, projectors)
     got = cc_map(relaxed, x, tol)
     base_out = cc_map(base, x, tol)

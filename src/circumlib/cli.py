@@ -30,15 +30,7 @@ from .gallery import (
     verify_scenario,
 )
 from .geometry import DEFAULT_TOL
-from .solvers import (
-    TABLE_NAMES,
-    StopRule,
-    crm_solve,
-    drm_solve,
-    map_solve,
-    run_benchmark,
-    table_geometry,
-)
+from .solvers import METHODS, TABLE_NAMES, StopRule, run_benchmark, table_geometry
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,7 +79,7 @@ def cmd_bench(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for method in ("drm", "map", "crm-s1", "crm-s2"):
+        for method in METHODS:
             rows.append(
                 (
                     name,
@@ -231,23 +223,13 @@ def cmd_trace(args) -> int:
     if args.table not in TABLE_NAMES:
         print(f"error: unknown table {args.table!r}", file=sys.stderr)
         return EXIT_USAGE
-    U1, U2, x0, target, S1, S2 = table_geometry(args.table)
+    geo = table_geometry(args.table)
+    x0, target = geo[2], geo[3]
     epsilon = args.epsilon
     if epsilon is None:
         epsilon = run_benchmark(args.table, max_iter=args.max_iter).epsilon
     rule = StopRule(epsilon=epsilon, max_iter=args.max_iter, target=target)
-    method = args.method
-    if method == "drm":
-        trace = drm_solve(U1, U2, x0, rule)
-    elif method == "map":
-        trace = map_solve(U1, U2, x0, rule)
-    elif method == "crm-s1":
-        trace = crm_solve(S1, x0, rule)
-    elif method == "crm-s2":
-        trace = crm_solve(S2, x0, rule)
-    else:
-        print(f"error: unknown method {method!r}", file=sys.stderr)
-        return EXIT_USAGE
+    trace = METHODS[args.method](geo, x0, rule, DEFAULT_TOL)
 
     dim = len(x0)
     header = ["k"] + [f"x{i}" for i in range(dim)] + ["residual"]
@@ -316,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="iterate trace of one method on a table; CSV columns k,x0..,residual",
     )
     p_trace.add_argument("--scenario", dest="table", required=True)
-    p_trace.add_argument("--method", choices=("drm", "map", "crm-s1", "crm-s2"),
-                         default="crm-s1")
+    p_trace.add_argument("--method", choices=tuple(METHODS), default="crm-s1")
     p_trace.add_argument("--epsilon", type=float, default=None,
                          help="stopping tolerance (default: calibrated)")
     common(p_trace)

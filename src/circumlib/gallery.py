@@ -23,7 +23,9 @@ from .circummap import (
     classify_points,
     evaluate_set,
     fixed_point_residual,
+    gaussian_cloud,
     in_domain,
+    relaxation,
 )
 from .geometry import DEFAULT_TOL, Tolerances, as_vector
 from .operators import (
@@ -172,23 +174,8 @@ Y_AXIS = AffineSubspace.span(E2)
 DIAGONAL = AffineSubspace.span(np.array([1.0, 1.0]))
 
 
-def _cloud(dim, count, seed, scale=2.0):
-    rng = np.random.default_rng(seed)
-    return [scale * rng.standard_normal(dim) for _ in range(count)]
-
-
 def _line_points(U: AffineSubspace, coeffs):
     return [U.anchor + float(c) * U.basis[0] for c in coeffs]
-
-
-def _relaxation(alpha: float, inner) -> object:
-    if alpha == 1.0:
-        return inner
-    return AffineComb(((1.0 - alpha, Identity()), (alpha, inner)))
-
-
-def _reflector_family(subspaces, name):
-    return OperatorSet((Identity(), *[ReflAffine(U) for U in subspaces]), name=name)
 
 
 def _hull_projection_reference(S: OperatorSet, subspaces, tol: Tolerances):
@@ -216,10 +203,7 @@ def _build_catalog() -> list[Scenario]:
 
     # --- identity/reflector families with global closed forms
     U_line = AffineSubspace.span(np.array([1.0, 2.0]))
-    S_zero = OperatorSet(
-        (Identity(), ReflAffine(U_line), ReflAffine(U_line.orthogonal_complement())),
-        name="id-reflector-pair",
-    )
+    S_zero = OperatorSet.reflectors([U_line, U_line.orthogonal_complement()], "id-reflector-pair")
     add(
         "reflectors-zero",
         2,
@@ -227,7 +211,7 @@ def _build_catalog() -> list[Scenario]:
         "the mapping is identically zero",
         ClosedFormMap(
             reference=lambda x: np.zeros(2),
-            probes=lambda seed: _cloud(2, 12, seed)
+            probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0)
             + _line_points(U_line, [-2, 1, 3])
             + _line_points(U_line.orthogonal_complement(), [-1, 2]),
         ),
@@ -250,7 +234,7 @@ def _build_catalog() -> list[Scenario]:
         "identity, complementary projectors and the zero map send x to x/2",
         ClosedFormMap(
             reference=lambda x: 0.5 * as_vector(x),
-            probes=lambda seed: _cloud(2, 12, seed) + _line_points(U_half, [1.5, -2]),
+            probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0) + _line_points(U_half, [1.5, -2]),
         ),
         S_half,
     )
@@ -271,7 +255,7 @@ def _build_catalog() -> list[Scenario]:
         "proper and continuous with closed form (0, (y - (x-2)/4)/2)",
         ClosedFormMap(
             reference=lambda x: np.array([0.0, 0.5 * (x[1] - 0.25 * (x[0] - 2.0))]),
-            probes=lambda seed: _cloud(2, 12, seed)
+            probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0)
             + [np.array([0.0, 1.0]), np.array([2.0, 0.0]), np.array([3.0, -0.25])],
         ),
         OperatorSet((Identity(), ReflAffine(Y_AXIS), T3), name="mirror-fold"),
@@ -289,7 +273,7 @@ def _build_catalog() -> list[Scenario]:
         "two constants and the vertical fold; proper but discontinuous at x=2",
         ClosedFormMap(
             reference=_const_pair_reference,
-            probes=lambda seed: _cloud(2, 10, seed)
+            probes=lambda seed: gaussian_cloud(2, 10, seed, 2.0)
             + [np.array([2.0, y]) for y in (-1.0, 0.0, 3.0)]
             + [np.array([2.0 - 1.0 / k, 0.0]) for k in (1, 2, 5, 10)],
         ),
@@ -349,7 +333,7 @@ def _build_catalog() -> list[Scenario]:
                     np.array([1.0, 1.0]),
                     np.array([-1.5, 2.0]),
                 ]
-                + [p for p in _cloud(2, 8, seed) if min(abs(p[0]), abs(p[1])) > 0.05],
+                + [p for p in gaussian_cloud(2, 8, seed, 2.0) if min(abs(p[0]), abs(p[1])) > 0.05],
             ),
             OperatorSet(
                 (ScaledId(alpha), ReflAffine(X_AXIS), ReflAffine(Y_AXIS)),
@@ -374,8 +358,10 @@ def _build_catalog() -> list[Scenario]:
         "mapping fixes exactly the origin",
         FixedPointSpec(
             fixed=[np.zeros(2)],
-            not_fixed=lambda seed: [p for p in _cloud(2, 10, seed) if np.linalg.norm(p) > 0.3],
-            proper_probes=lambda seed: _cloud(2, 20, seed),
+            not_fixed=lambda seed: [
+                p for p in gaussian_cloud(2, 10, seed, 2.0) if np.linalg.norm(p) > 0.3
+            ],
+            proper_probes=lambda seed: gaussian_cloud(2, 20, seed, 2.0),
         ),
         S_balls,
     )
@@ -388,14 +374,14 @@ def _build_catalog() -> list[Scenario]:
     A2 = AffineSubspace.span(np.array([1.0, 1.0, 1.0]))
     A3 = AffineSubspace.hyperplane(np.array([1.0, -1.0, 0.0]), 0.0)
 
-    S_words = _reflector_family([A1, A2, A3], "id-all-reflectors")
+    S_words = OperatorSet.reflectors([A1, A2, A3], "id-all-reflectors")
     add(
         "reflector-words-m",
         3,
         "identity with one reflector per subspace",
         ClosedFormMap(
             reference=_hull_projection_reference(S_words, [A1, A2, A3], tol),
-            probes=lambda seed: _cloud(3, 12, seed),
+            probes=lambda seed: gaussian_cloud(3, 12, seed, 2.0),
         ),
         S_words,
     )
@@ -415,22 +401,20 @@ def _build_catalog() -> list[Scenario]:
         "identity with the three cyclic two-letter reflector words",
         ClosedFormMap(
             reference=_hull_projection_reference(S_cycle, [A1, A2, A3], tol),
-            probes=lambda seed: _cloud(3, 10, seed),
+            probes=lambda seed: gaussian_cloud(3, 10, seed, 2.0),
         ),
         S_cycle,
     )
 
-    S_cdrm = OperatorSet(
-        (Identity(), ReflAffine(X_AXIS), Compose((ReflAffine(DIAGONAL), ReflAffine(X_AXIS)))),
-        name="cdrm",
-    )
+    S_cdrm = OperatorSet.prefix_words([X_AXIS, DIAGONAL], "cdrm")
     add(
         "cdrm-words",
         2,
         "identity, one reflector, and the two-letter word over two lines",
         ClosedFormMap(
             reference=_hull_projection_reference(S_cdrm, [X_AXIS, DIAGONAL], tol),
-            probes=lambda seed: _cloud(2, 12, seed) + _line_points(X_AXIS, [1.0, -2.0]),
+            probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0)
+            + _line_points(X_AXIS, [1.0, -2.0]),
         ),
         S_cdrm,
     )
@@ -440,15 +424,7 @@ def _build_catalog() -> list[Scenario]:
     B1 = AffineSubspace.from_spanning(z0, [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])])
     B2 = AffineSubspace.from_spanning(z0, [np.array([1.0, 1.0, 1.0])])
     B3 = AffineSubspace.hyperplane(np.array([0.0, 1.0, 1.0]), float(np.array([0.0, 1.0, 1.0]) @ z0))
-    S_prefix = OperatorSet(
-        (
-            Identity(),
-            ReflAffine(B1),
-            Compose((ReflAffine(B2), ReflAffine(B1))),
-            Compose((ReflAffine(B3), ReflAffine(B2), ReflAffine(B1))),
-        ),
-        name="prefix-words",
-    )
+    S_prefix = OperatorSet.prefix_words([B1, B2, B3], "prefix-words")
     add(
         "crm-prefix-words",
         3,
@@ -456,7 +432,7 @@ def _build_catalog() -> list[Scenario]:
         "through a common off-origin point",
         ClosedFormMap(
             reference=_hull_projection_reference(S_prefix, [B1, B2, B3], tol),
-            probes=lambda seed: _cloud(3, 10, seed),
+            probes=lambda seed: gaussian_cloud(3, 10, seed, 2.0),
         ),
         S_prefix,
     )
@@ -471,13 +447,13 @@ def _build_catalog() -> list[Scenario]:
         "double-reflection (Douglas-Rachford) operator",
         ClosedFormMap(
             reference=lambda x: 0.5 * (as_vector(x) + apply(S_dr.ops[1], x)),
-            probes=lambda seed: _cloud(2, 12, seed),
+            probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0),
             check_tol=1e-12,
         ),
         S_dr,
     )
 
-    S_two = _reflector_family([X_AXIS, DIAGONAL], "two-reflectors")
+    S_two = OperatorSet.reflectors([X_AXIS, DIAGONAL], "two-reflectors")
     add(
         "two-reflectors-collapse",
         2,
@@ -522,7 +498,7 @@ def _build_catalog() -> list[Scenario]:
         "decides midpoint, three-point, or hull-projection form",
         ClosedFormMap(
             reference=_four_reference,
-            probes=lambda seed: _cloud(2, 10, seed)
+            probes=lambda seed: gaussian_cloud(2, 10, seed, 2.0)
             + [np.zeros(2)]
             + _line_points(X_AXIS, [1.0, -3.0])
             + _line_points(U_skew, [1.0, 2.0]),
@@ -532,10 +508,10 @@ def _build_catalog() -> list[Scenario]:
 
     # --- relaxation identities
     relax_subs = [X_AXIS, AffineSubspace.span(np.array([1.0, 3.0]))]
-    S_base_relax = _reflector_family(relax_subs, "relax-base")
+    S_base_relax = OperatorSet.reflectors(relax_subs, "relax-base")
     alpha0 = 2.0
     S_relaxed = OperatorSet(
-        (Identity(), *[_relaxation(alpha0, ReflAffine(U)) for U in relax_subs]),
+        (Identity(), *[relaxation(alpha0, ReflAffine(U)) for U in relax_subs]),
         name="relaxed-reflectors",
     )
     add(
@@ -545,7 +521,7 @@ def _build_catalog() -> list[Scenario]:
         ClosedFormMap(
             reference=lambda x: alpha0 * cc_map(S_base_relax, x, tol).center
             + (1.0 - alpha0) * as_vector(x),
-            probes=lambda seed: _cloud(2, 10, seed),
+            probes=lambda seed: gaussian_cloud(2, 10, seed, 2.0),
         ),
         S_relaxed,
     )
@@ -555,7 +531,7 @@ def _build_catalog() -> list[Scenario]:
         AffineSubspace.hyperplane(np.array([1.0, 1.0, 1.0]), 0.0),
         AffineSubspace.span(np.array([0.0, 1.0, -1.0])),
     ]
-    S_base_proj = _reflector_family(proj_subs, "projectors-base")
+    S_base_proj = OperatorSet.reflectors(proj_subs, "projectors-base")
     S_projectors = OperatorSet(
         (Identity(), *[ProjAffine(U) for U in proj_subs]), name="id-all-projectors"
     )
@@ -566,7 +542,7 @@ def _build_catalog() -> list[Scenario]:
         "of the reflector mapping",
         ClosedFormMap(
             reference=lambda x: 0.5 * cc_map(S_base_proj, x, tol).center + 0.5 * as_vector(x),
-            probes=lambda seed: _cloud(3, 10, seed),
+            probes=lambda seed: gaussian_cloud(3, 10, seed, 2.0),
         ),
         S_projectors,
     )
@@ -581,7 +557,7 @@ def _build_catalog() -> list[Scenario]:
         "identity with the averaged double-reflection operator and its square",
         DomainSpec(
             member=lambda x: True,
-            probes=lambda seed: _cloud(2, 20, seed)
+            probes=lambda seed: gaussian_cloud(2, 20, seed, 2.0)
             + _line_points(X_AXIS, [1.0, -2.0])
             + _line_points(DIAGONAL, [0.5, 2.0]),
         ),
@@ -594,7 +570,7 @@ def _build_catalog() -> list[Scenario]:
 
     def _off_line_samples(params, seed):
         return [np.array([0.3, 1.7]), np.array([-1.2, 0.4])] + [
-            p for p in _cloud(2, 4, seed) if abs(p[1]) > 0.1
+            p for p in gaussian_cloud(2, 4, seed, 2.0) if abs(p[1]) > 0.1
         ]
 
     add(
@@ -608,8 +584,8 @@ def _build_catalog() -> list[Scenario]:
             build=lambda a: OperatorSet(
                 (
                     Identity(),
-                    _relaxation(a[0], ReflAffine(U_same)),
-                    _relaxation(a[1], ReflAffine(U_same)),
+                    relaxation(a[0], ReflAffine(U_same)),
+                    relaxation(a[1], ReflAffine(U_same)),
                 ),
                 name=f"relaxed-same-line{a}",
             ),
@@ -634,11 +610,11 @@ def _build_catalog() -> list[Scenario]:
             build=lambda a: OperatorSet(
                 (
                     Identity(),
-                    _relaxation(a[0], ReflAffine(U_same)),
+                    relaxation(a[0], ReflAffine(U_same)),
                     Compose(
                         (
-                            _relaxation(a[1], ReflAffine(U_same)),
-                            _relaxation(a[0], ReflAffine(U_same)),
+                            relaxation(a[1], ReflAffine(U_same)),
+                            relaxation(a[0], ReflAffine(U_same)),
                         )
                     ),
                 ),
@@ -664,11 +640,11 @@ def _build_catalog() -> list[Scenario]:
             build=lambda a: OperatorSet(
                 (
                     Identity(),
-                    _relaxation(a[0], ProjAffine(U_same)),
+                    relaxation(a[0], ProjAffine(U_same)),
                     Compose(
                         (
-                            _relaxation(a[1], ProjAffine(U_same)),
-                            _relaxation(a[0], ProjAffine(U_same)),
+                            relaxation(a[1], ProjAffine(U_same)),
+                            relaxation(a[0], ProjAffine(U_same)),
                         )
                     ),
                 ),
@@ -740,15 +716,12 @@ def _build_catalog() -> list[Scenario]:
 
     # --- inconsistent pair: a point and a line that miss each other
     U_pt = AffineSubspace.point(np.array([2.0, 0.0]))
-    S1_inc = _reflector_family([U_pt, Y_AXIS], "point-line-s1")
-    S2_inc = OperatorSet(
-        (Identity(), ReflAffine(U_pt), Compose((ReflAffine(Y_AXIS), ReflAffine(U_pt)))),
-        name="point-line-s2",
-    )
+    S1_inc = OperatorSet.reflectors([U_pt, Y_AXIS], "point-line-s1")
+    S2_inc = OperatorSet.prefix_words([U_pt, Y_AXIS], "point-line-s2")
 
     def _inc_probes(seed):
         axis = [np.array([x, 0.0]) for x in (-3.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0)]
-        off = [p for p in _cloud(2, 8, seed) if abs(p[1]) > 0.1]
+        off = [p for p in gaussian_cloud(2, 8, seed, 2.0) if abs(p[1]) > 0.1]
         return axis + off + [np.array([1.0, 2.0]), np.array([0.0, -2.0])]
 
     add(
@@ -796,7 +769,7 @@ def _build_catalog() -> list[Scenario]:
         ]
         rand = [
             p
-            for p in _cloud(2, 8, seed)
+            for p in gaussian_cloud(2, 8, seed, 2.0)
             if abs(p[0]) > 0.1 and abs(p[1]) > 0.1 and abs(p[0] + 2.0) > 0.1
         ]
         return fixed + rand
@@ -828,8 +801,8 @@ def _build_catalog() -> list[Scenario]:
     def _axis_domain(name, S, member, xs, dim_note, off_axis=True):
         def probes(seed, xs=xs, off_axis=off_axis):
             axis = [np.array([x, 0.0]) for x in xs]
-            off = [p for p in _cloud(2, 6, seed) if abs(p[1]) > 0.1] if off_axis else []
-            return axis + off
+            off = gaussian_cloud(2, 6, seed, 2.0) if off_axis else []
+            return axis + [p for p in off if abs(p[1]) > 0.1]
 
         add(name, 2, dim_note, DomainSpec(member=member, probes=probes), S)
 
@@ -961,7 +934,8 @@ def _build_catalog() -> list[Scenario]:
             predicate=lambda a: True,
             grid=[()],
             build=lambda a: S_circles,
-            samples=lambda a, seed: [np.zeros(2), np.array([0.5, 0.0])] + _cloud(2, 6, seed),
+            samples=lambda a, seed: [np.zeros(2), np.array([0.5, 0.0])]
+            + gaussian_cloud(2, 6, seed, 2.0),
         ),
     )
 
@@ -969,7 +943,7 @@ def _build_catalog() -> list[Scenario]:
     NONNEG_GRID = [0.0, 0.5, 1.0, 2.0]
 
     def _resolvent_samples(a, seed):
-        return [np.array([1.0, 0.5]), np.array([-2.0, 3.0])] + _cloud(2, 3, seed)
+        return [np.array([1.0, 0.5]), np.array([-2.0, 3.0])] + gaussian_cloud(2, 3, seed, 2.0)
 
     add(
         "scaled-id-resolvents",
@@ -1070,7 +1044,7 @@ def _build_catalog() -> list[Scenario]:
         "subspace: always proper",
         DomainSpec(
             member=lambda x: True,
-            probes=lambda seed: _cloud(2, 15, seed)
+            probes=lambda seed: gaussian_cloud(2, 15, seed, 2.0)
             + _line_points(U1_aff, [0.0, 2.0])
             + _line_points(U2_lin, [1.0, -1.0]),
         ),
@@ -1089,7 +1063,8 @@ def _build_catalog() -> list[Scenario]:
         "identity, the linear projector, and the composed word: always proper",
         DomainSpec(
             member=lambda x: True,
-            probes=lambda seed: _cloud(2, 15, seed) + _line_points(U1_aff, [0.0, 2.0]),
+            probes=lambda seed: gaussian_cloud(2, 15, seed, 2.0)
+            + _line_points(U1_aff, [0.0, 2.0]),
         ),
         OperatorSet(
             (

@@ -1,5 +1,5 @@
-"""Small dense linear algebra: rank-revealing orthogonalization, Gram
-matrices, affine-hull bases.
+"""Small dense linear algebra: rank-revealing orthogonalization, orthogonal
+complements, affine-hull bases.
 
 Everything in this module is sized for tiny problems (dimensions and family
 sizes in the single digits), so the implementations favour determinism and
@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DimensionMismatchError",
     "as_vector",
-    "gram",
     "orthonormal_basis",
     "rank",
     "orthonormal_complement",
@@ -72,21 +71,6 @@ def _check_same_dim(vectors) -> int:
     if len(dims) > 1:
         raise DimensionMismatchError(f"mixed vector dimensions: {sorted(dims)}")
     return dims.pop()
-
-
-def gram(vectors) -> np.ndarray:
-    """Gram matrix G[i, j] = <vectors[i], vectors[j]>.
-
-    Symmetric positive semidefinite by construction (computed as V V^T with
-    explicit symmetrization to kill roundoff asymmetry).
-    """
-    vecs = [as_vector(v) for v in vectors]
-    if not vecs:
-        raise ValueError("gram of an empty family is undefined")
-    _check_same_dim(vecs)
-    V = np.array(vecs)
-    G = V @ V.T
-    return 0.5 * (G + G.T)
 
 
 def orthonormal_basis(vectors, tol: Tolerances = DEFAULT_TOL, scale: float | None = None):

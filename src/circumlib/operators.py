@@ -191,15 +191,36 @@ class Ball:
 
 
 class Operator:
-    """Base class for immutable operator trees; call or apply() to evaluate."""
+    """Base class for immutable operator trees; call or apply() to evaluate.
+
+    Each node maps a point, or the rows of an (N, n) array, with ``_map``.
+    ``dim`` is the ambient dimension the node pins (None when it is
+    dimension-free) and ``affine`` says whether the node is an affine map;
+    both are fixed when the node is built, and ``Compose``/``AffineComb``
+    derive them from their children.
+    """
+
+    dim = None
+    affine = True
 
     def __call__(self, x) -> np.ndarray:
         return apply(self, x)
 
+    def _map(self, x: np.ndarray) -> np.ndarray:
+        raise TypeError(f"unknown operator node {type(self).__name__}")
+
+
+def _derive(node: Operator, children) -> None:
+    """Fix a compound node's ``dim`` (its first pinned child's) and ``affine``."""
+    dims = [op.dim for op in children if op.dim is not None]
+    object.__setattr__(node, "dim", dims[0] if dims else None)
+    object.__setattr__(node, "affine", all(op.affine for op in children))
+
 
 @dataclass(frozen=True, eq=False)
 class Identity(Operator):
-    pass
+    def _map(self, x):
+        return x.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,11 +229,18 @@ class Constant(Operator):
 
     def __post_init__(self):
         object.__setattr__(self, "value", as_vector(self.value))
+        object.__setattr__(self, "dim", len(self.value))
+
+    def _map(self, x):
+        return np.broadcast_to(self.value, x.shape).copy()
 
 
 @dataclass(frozen=True, eq=False)
 class ScaledId(Operator):
     gamma: float
+
+    def _map(self, x):
+        return self.gamma * x
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,26 +249,56 @@ class Translate(Operator):
 
     def __post_init__(self):
         object.__setattr__(self, "offset", as_vector(self.offset))
+        object.__setattr__(self, "dim", len(self.offset))
+
+    def _map(self, x):
+        return x + self.offset
 
 
 @dataclass(frozen=True, eq=False)
 class ProjAffine(Operator):
     subspace: AffineSubspace
 
+    def __post_init__(self):
+        object.__setattr__(self, "dim", self.subspace.dim_ambient)
+
+    def _map(self, x):
+        return self.subspace.project(x)
+
 
 @dataclass(frozen=True, eq=False)
 class ReflAffine(Operator):
     subspace: AffineSubspace
 
+    def __post_init__(self):
+        object.__setattr__(self, "dim", self.subspace.dim_ambient)
+
+    def _map(self, x):
+        return self.subspace.reflect(x)
+
 
 @dataclass(frozen=True, eq=False)
 class ProjBall(Operator):
     ball: Ball
+    affine = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", len(self.ball.center))
+
+    def _map(self, x):
+        return project_ball(self.ball, x)
 
 
 @dataclass(frozen=True, eq=False)
 class ReflBall(Operator):
     ball: Ball
+    affine = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", len(self.ball.center))
+
+    def _map(self, x):
+        return 2.0 * project_ball(self.ball, x) - x
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +307,7 @@ class ProjBox(Operator):
 
     lower: np.ndarray
     upper: np.ndarray
+    affine = False
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -259,6 +318,10 @@ class ProjBox(Operator):
             raise ValueError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+        object.__setattr__(self, "dim", len(lo))
+
+    def _map(self, x):
+        return np.clip(x, self.lower, self.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,11 +331,16 @@ class ProjSphere(Operator):
 
     center: np.ndarray
     radius: float
+    affine = False
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
         if self.radius < 0:
             raise ValueError("sphere radius must be nonnegative")
+        object.__setattr__(self, "dim", len(self.center))
+
+    def _map(self, x):
+        return project_sphere(self.center, self.radius, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,6 +354,12 @@ class Compose(Operator):
         if not ops:
             raise ValueError("Compose requires at least one operator")
         object.__setattr__(self, "ops", ops)
+        _derive(self, ops)
+
+    def _map(self, x):
+        for inner in reversed(self.ops):
+            x = apply(inner, x)
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,6 +376,13 @@ class AffineComb(Operator):
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"affine-combination weights must sum to 1, got {total}")
         object.__setattr__(self, "terms", terms)
+        _derive(self, [op for _, op in terms])
+
+    def _map(self, x):
+        acc = np.zeros_like(x)
+        for w, inner in self.terms:
+            acc = acc + w * apply(inner, x)
+        return acc
 
 
 def project_ball(ball: Ball, x) -> np.ndarray:
@@ -327,43 +408,10 @@ def project_sphere(center, radius: float, x) -> np.ndarray:
 def apply(op: Operator, x) -> np.ndarray:
     """Evaluate an operator tree at ``x``, or at every row of an (N, n) ``x``."""
     x = _as_points(x)
-    if isinstance(op, Identity):
-        return x.copy()
-    if isinstance(op, Constant):
-        if len(op.value) != x.shape[-1]:
-            raise DimensionMismatchError("constant value dimension differs from input")
-        return np.broadcast_to(op.value, x.shape).copy()
-    if isinstance(op, ScaledId):
-        return op.gamma * x
-    if isinstance(op, Translate):
-        if len(op.offset) != x.shape[-1]:
-            raise DimensionMismatchError("translation offset dimension differs from input")
-        return x + op.offset
-    if isinstance(op, ProjAffine):
-        return op.subspace.project(x)
-    if isinstance(op, ReflAffine):
-        return op.subspace.reflect(x)
-    if isinstance(op, ProjBall):
-        return project_ball(op.ball, x)
-    if isinstance(op, ReflBall):
-        return 2.0 * project_ball(op.ball, x) - x
-    if isinstance(op, ProjBox):
-        if len(op.lower) != x.shape[-1]:
-            raise DimensionMismatchError("box dimension differs from input")
-        return np.clip(x, op.lower, op.upper)
-    if isinstance(op, ProjSphere):
-        return project_sphere(op.center, op.radius, x)
-    if isinstance(op, Compose):
-        y = x
-        for inner in reversed(op.ops):
-            y = apply(inner, y)
-        return y
-    if isinstance(op, AffineComb):
-        acc = np.zeros_like(x)
-        for w, inner in op.terms:
-            acc = acc + w * apply(inner, x)
-        return acc
-    raise TypeError(f"unknown operator node {type(op).__name__}")
+    if op.dim is not None and op.dim != x.shape[-1]:
+        raise DimensionMismatchError(
+            f"{type(op).__name__} acts on R^{op.dim}, got points in R^{x.shape[-1]}")
+    return op._map(x)
 
 
 def reflector_of(proj: Operator) -> Operator:
@@ -380,13 +428,16 @@ def _word(subspaces, indices, node) -> Operator:
         ops.append(node(subs[i - 1]))
     if not ops:
         return Identity()
+    if len(ops) == 1:
+        return ops[0]
     # indices list the application order; Compose applies right-to-left.
     return Compose(tuple(reversed(ops)))
 
 
 def reflector_word(subspaces, indices) -> Operator:
     """Composition R_{U_{i_r}} ... R_{U_{i_1}} for 1-based ``indices``
-    (applied first-to-last); the empty word is the identity."""
+    (applied first-to-last); the empty word is the identity and a one-letter
+    word is the bare reflector node."""
     return _word(subspaces, indices, ReflAffine)
 
 
@@ -443,41 +494,9 @@ def intersect_affine(subspaces, tol: Tolerances = DEFAULT_TOL) -> AffineSubspace
     return AffineSubspace(x, directions, tol)
 
 
-def _affine_only(op: Operator) -> bool:
-    if isinstance(op, (Identity, Constant, ScaledId, Translate, ProjAffine, ReflAffine)):
-        return True
-    if isinstance(op, Compose):
-        return all(_affine_only(inner) for inner in op.ops)
-    if isinstance(op, AffineComb):
-        return all(_affine_only(inner) for _, inner in op.terms)
-    return False
-
-
 def ambient_dim(op: Operator) -> int | None:
     """Ambient dimension pinned by the tree, or None for dimension-free trees."""
-    if isinstance(op, Constant):
-        return len(op.value)
-    if isinstance(op, Translate):
-        return len(op.offset)
-    if isinstance(op, (ProjAffine, ReflAffine)):
-        return op.subspace.dim_ambient
-    if isinstance(op, (ProjBall, ReflBall)):
-        return len(op.ball.center)
-    if isinstance(op, ProjBox):
-        return len(op.lower)
-    if isinstance(op, ProjSphere):
-        return len(op.center)
-    if isinstance(op, Compose):
-        for inner in op.ops:
-            d = ambient_dim(inner)
-            if d is not None:
-                return d
-    if isinstance(op, AffineComb):
-        for _, inner in op.terms:
-            d = ambient_dim(inner)
-            if d is not None:
-                return d
-    return None
+    return op.dim
 
 
 def fixed_point_set_affine(
@@ -490,7 +509,7 @@ def fixed_point_set_affine(
     solved with a consistency check.  Trees containing ball, box, or sphere
     nodes are rejected.
     """
-    if not _affine_only(op):
+    if not op.affine:
         raise UnsupportedNodeError("fixed-point solve supports affine operator trees only")
     if dim is None:
         dim = ambient_dim(op)

@@ -30,10 +30,7 @@ from .geometry import DEFAULT_TOL, Tolerances, as_vector
 from .operators import (
     AffineSubspace,
     Ball,
-    Compose,
     EmptyIntersectionError,
-    Identity,
-    ReflAffine,
     intersect_affine,
     project_ball,
 )
@@ -45,6 +42,7 @@ __all__ = [
     "BenchResult",
     "REFERENCE_COUNTS",
     "TABLE_NAMES",
+    "METHODS",
     "drm_solve",
     "map_solve",
     "crm_solve",
@@ -280,11 +278,21 @@ def table_geometry(name: str):
     else:
         raise KeyError(f"unknown table {name!r}; expected one of {TABLE_NAMES}")
     target = best_approximation([U1, U2], x0)
-    S1 = OperatorSet((Identity(), ReflAffine(U1), ReflAffine(U2)), name="s1")
-    S2 = OperatorSet(
-        (Identity(), ReflAffine(U1), Compose((ReflAffine(U2), ReflAffine(U1)))), name="s2"
-    )
+    S1 = OperatorSet.reflectors([U1, U2], "s1")
+    S2 = OperatorSet.prefix_words([U1, U2], "s2")
     return U1, U2, x0, target, S1, S2
+
+
+# The benchmark methods in report order.  Each runs on a table's geometry
+# ``geo = (U1, U2, x0, target, S1, S2)`` from ``x0`` under ``rule``.  The
+# solvers are looked up by name at call time, so a wrapper installed on this
+# module's bindings (the benchmark's layer tracer does this) sees every solve.
+METHODS = {
+    "drm": lambda geo, x0, rule, tol: drm_solve(geo[0], geo[1], x0, rule),
+    "map": lambda geo, x0, rule, tol: map_solve(geo[0], geo[1], x0, rule),
+    "crm-s1": lambda geo, x0, rule, tol: crm_solve(geo[4], x0, rule, tol),
+    "crm-s2": lambda geo, x0, rule, tol: crm_solve(geo[5], x0, rule, tol),
+}
 
 
 def count_window(distances, count: int):
@@ -343,17 +351,12 @@ def run_benchmark(
     name: str, max_iter: int = 64, tol: Tolerances = DEFAULT_TOL, x0=None
 ) -> BenchResult:
     """Run all four methods on a table, calibrating epsilon from the DRM count."""
-    U1, U2, x0_default, target, S1, S2 = table_geometry(name)
-    x0 = x0_default if x0 is None else as_vector(x0)
-    target = best_approximation([U1, U2], x0, tol)
+    geo = table_geometry(name)
+    x0 = geo[2] if x0 is None else as_vector(x0)
+    target = best_approximation(geo[:2], x0, tol)
     probe_rule = StopRule(epsilon=np.finfo(float).tiny, max_iter=max_iter, target=target)
 
-    traces = {
-        "drm": drm_solve(U1, U2, x0, probe_rule),
-        "map": map_solve(U1, U2, x0, probe_rule),
-        "crm-s1": crm_solve(S1, x0, probe_rule, tol),
-        "crm-s2": crm_solve(S2, x0, probe_rule, tol),
-    }
+    traces = {m: solve(geo, x0, probe_rule, tol) for m, solve in METHODS.items()}
     dists = {
         m: [float(np.linalg.norm(p - target)) for p in tr.measured] for m, tr in traces.items()
     }

@@ -7,40 +7,10 @@ from circumlib.geometry import (
     DEFAULT_TOL,
     Tolerances,
     affine_hull_basis,
-    gram,
     orthonormal_basis,
     orthonormal_complement,
     rank,
 )
-
-
-def test_gram_orthonormal_pair_is_identity():
-    G = gram([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(G, np.eye(2))
-
-
-def test_gram_fold_difference_vectors():
-    # difference vectors of the constant/fold family at first coordinate 3
-    x = 3.0
-    G = gram([[-4.0, 0.0], [x - 2.0, -(x - 2.0) / 4.0]])
-    np.testing.assert_allclose(G, [[16.0, -4.0], [-4.0, 17.0 / 16.0]])
-
-
-def test_gram_single_vector_is_squared_norm():
-    v = np.array([3.0, 4.0])
-    np.testing.assert_allclose(gram([v]), [[25.0]])
-
-
-def test_gram_symmetry_random():
-    rng = np.random.default_rng(3)
-    vecs = [rng.standard_normal(5) for _ in range(4)]
-    G = gram(vecs)
-    assert np.abs(G - G.T).max() <= 1e-14
-
-
-def test_gram_rejects_mixed_dims():
-    with pytest.raises(ValueError):
-        gram([[1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def test_orthonormal_basis_collinear():
@@ -72,7 +42,8 @@ def test_orthonormal_basis_output_gram_is_identity():
     rng = np.random.default_rng(11)
     vecs = [rng.standard_normal(6) for _ in range(5)]
     basis, _ = orthonormal_basis(vecs)
-    G = gram(basis)
+    B = np.array(basis)
+    G = B @ B.T
     assert np.abs(G - np.eye(len(basis))).max() <= 1e-10
 
 

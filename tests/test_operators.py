@@ -174,8 +174,11 @@ def test_apply_rows_matches_apply_per_point(seed, n):
 
 
 @pytest.mark.parametrize("op", [
-    Constant(np.zeros(3)), Translate(np.zeros(3)), ProjBox(np.zeros(3), np.ones(3))])
-@pytest.mark.parametrize("x", [np.zeros(2), np.zeros((4, 2))], ids=["point", "rows"])
+    Constant(np.zeros(3)), Translate(np.zeros(3)), ProjBox(np.zeros(3), np.ones(3)),
+    ProjBall(Ball(np.zeros(3), 1.0)), ReflBall(Ball(np.zeros(3), 1.0)),
+    ProjSphere(np.zeros(3), 1.0)])
+@pytest.mark.parametrize("x", [np.zeros(2), np.zeros((4, 2)), np.zeros(1)],
+                         ids=["point", "rows", "point-1d"])
 def test_apply_dimension_mismatch(op, x):
     with pytest.raises(DimensionMismatchError):
         apply(op, x)
@@ -258,6 +261,7 @@ def test_ambient_dim_inference():
     assert ambient_dim(Constant(np.zeros(3))) == 3
     assert ambient_dim(Compose((Identity(), ReflAffine(DIAG)))) == 2
     assert ambient_dim(AffineComb(((1.0, Translate([0.0, 0.0, 0.0, 0.0])),))) == 4
+    assert ambient_dim(Compose((Identity(), ProjBall(Ball(np.zeros(3), 1.0))))) == 3
 
 
 def test_subspace_constructors_validate():
@@ -329,8 +333,15 @@ def test_fixed_points_empty_for_translation():
 
 
 def test_fixed_points_reject_ball_nodes():
-    with pytest.raises(UnsupportedNodeError):
-        fixed_point_set_affine(ProjBall(Ball(np.zeros(2), 1.0)))
+    ball = Ball(np.zeros(2), 1.0)
+    for op in (
+        ProjBall(ball),
+        ProjBox(np.zeros(2), np.ones(2)),
+        Compose((ReflAffine(DIAG), ReflBall(ball))),
+        AffineComb(((0.5, Identity()), (0.5, ProjSphere(np.zeros(2), 1.0)))),
+    ):
+        with pytest.raises(UnsupportedNodeError):
+            fixed_point_set_affine(op)
 
 
 def test_best_approximation_empty_intersection_raises():
