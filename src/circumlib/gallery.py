@@ -24,7 +24,6 @@ from .circummap import (
     evaluate_set,
     fixed_point_residual,
     gaussian_cloud,
-    in_domain,
     relaxation,
 )
 from .geometry import DEFAULT_TOL, Tolerances, as_vector
@@ -1180,16 +1179,16 @@ def verify_scenario(
                 dev = _rel_dev(out.center, want)
                 report.record(dev, dev <= kind.check_tol, x, want, out.center)
     elif isinstance(kind, DomainSpec):
-        for x in kind.probes(seed):
+        probes = kind.probes(seed)
+        X = np.reshape(probes, (len(probes), s.dim))
+        for x, got in zip(probes, classify_points(s.operator_set, X, tol).tolist()):
             want = bool(kind.member(x))
-            got = in_domain(s.operator_set, x, tol).in_domain
             report.record(float(want != got), want == got, x, want, got)
     elif isinstance(kind, ImpropernessIff):
         for params in kind.grid:
-            S = kind.build(params)
-            improper = any(
-                not in_domain(S, x, tol).in_domain for x in kind.samples(params, seed)
-            )
+            samples = kind.samples(params, seed)
+            X = np.reshape(samples, (len(samples), s.dim))
+            improper = not classify_points(kind.build(params), X, tol).all()
             want = bool(kind.predicate(params))
             report.record(float(want != improper), want == improper, params, want, improper)
     elif isinstance(kind, SequenceLimit):
@@ -1210,8 +1209,9 @@ def verify_scenario(
             ok = r is not None and r > kind.separation
             report.record(0.0 if ok else 1.0, ok, x, f"> {kind.separation}", r)
         if kind.proper_probes is not None:
-            for x in kind.proper_probes(seed):
-                ok = cc_map(s.operator_set, x, tol).exists
+            probes = kind.proper_probes(seed)
+            X = np.reshape(probes, (len(probes), s.dim))
+            for x, ok in zip(probes, classify_points(s.operator_set, X, tol).tolist()):
                 report.record(0.0 if ok else 1.0, ok, x, "exists", ok)
     else:
         raise TypeError(f"unknown expectation kind {type(kind).__name__}")

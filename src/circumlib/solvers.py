@@ -347,25 +347,27 @@ class BenchResult:
         return self.counts == self.expected
 
 
+def _trace_methods(geo, x0, max_iter: int, tol: Tolerances):
+    """Every method's trace from ``x0`` and its distances to the target."""
+    target = best_approximation(geo[:2], x0, tol)
+    probe_rule = StopRule(epsilon=np.finfo(float).tiny, max_iter=max_iter, target=target)
+    traces = {m: solve(geo, x0, probe_rule, tol) for m, solve in METHODS.items()}
+    dists = {m: [float(np.linalg.norm(p - target)) for p in tr.measured]
+             for m, tr in traces.items()}
+    return traces, dists
+
+
 def run_benchmark(
     name: str, max_iter: int = 64, tol: Tolerances = DEFAULT_TOL, x0=None
 ) -> BenchResult:
-    """Run all four methods on a table, calibrating epsilon from the DRM count."""
+    """Run all four methods on a table from ``x0`` (default: its published start),
+    at the epsilon that the reference DRM count calibrates from the published start."""
     geo = table_geometry(name)
-    x0 = geo[2] if x0 is None else as_vector(x0)
-    target = best_approximation(geo[:2], x0, tol)
-    probe_rule = StopRule(epsilon=np.finfo(float).tiny, max_iter=max_iter, target=target)
-
-    traces = {m: solve(geo, x0, probe_rule, tol) for m, solve in METHODS.items()}
-    dists = {
-        m: [float(np.linalg.norm(p - target)) for p in tr.measured] for m, tr in traces.items()
-    }
     expected = REFERENCE_COUNTS[name]
-    if all(d[0] == 0.0 for d in dists.values()):
-        # Degenerate start at the target: every method needs zero iterations.
-        eps, joint = float(np.finfo(float).eps), True
-    else:
-        eps, joint = calibrate_epsilon(dists, expected)
-    counts = {m: iterations_to_tolerance(tr, target, eps) for m, tr in traces.items()}
+    traces, dists = _trace_methods(geo, geo[2], max_iter, tol)
+    eps, joint = calibrate_epsilon(dists, expected)
+    if x0 is not None:
+        traces, dists = _trace_methods(geo, as_vector(x0), max_iter, tol)
+    counts = {m: next((k for k, v in enumerate(d) if v <= eps), None) for m, d in dists.items()}
     finals = {m: d[counts[m]] if counts[m] is not None else d[-1] for m, d in dists.items()}
     return BenchResult(name, eps, joint, counts, dict(expected), finals, traces)

@@ -212,19 +212,6 @@ def test_classify_points_equals_in_domain_on_the_probe_grid(s):
     assert classify_points(s.operator_set, X).tolist() == want
 
 
-def _counting_in_domain(monkeypatch):
-    import circumlib.circummap as circummap
-
-    calls = []
-
-    def counted(S, x, tol):
-        calls.append(x)
-        return in_domain(S, x, tol)
-
-    monkeypatch.setattr(circummap, "in_domain", counted)
-    return calls
-
-
 @pytest.mark.parametrize("S", [
     # images x and x + (d, 0) at d = 5-11 and 0.05-0.11 times dup_tol * scale
     # (scale, the largest image norm or 1, is 1 to 2 here), beside a third
@@ -236,22 +223,20 @@ def _counting_in_domain(monkeypatch):
     OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 4e-9]))),
     OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 4e-11]))),
 ], ids=["dup-above", "dup-below", "rank-above", "rank-below"])
-def test_classify_points_leaves_near_threshold_rows_to_in_domain(monkeypatch, S):
+def test_classify_points_leaves_near_threshold_rows_to_in_domain(in_domain_calls, S):
     X = gaussian_cloud(2, 6, seed=8, scale=0.3)
     want = [in_domain(S, x).in_domain for x in X]
-    calls = _counting_in_domain(monkeypatch)
     assert classify_points(S, np.array(X)).tolist() == want
-    assert len(calls) == len(X)
+    assert len(in_domain_calls) == len(X)
 
 
-def test_classify_points_decides_clear_rows_as_arrays(monkeypatch):
+def test_classify_points_decides_clear_rows_as_arrays(in_domain_calls):
     S = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([0.0, 1.0]),
                      ReflAffine(X_AXIS)))
     X = np.array(gaussian_cloud(2, 40, seed=9) + [np.array([1.0, 0.0])])
     want = [in_domain(S, x).in_domain for x in X]
-    calls = _counting_in_domain(monkeypatch)
     assert classify_points(S, X).tolist() == want
-    assert calls == []
+    assert in_domain_calls == []
     assert want[-1] and not all(want)
 
 

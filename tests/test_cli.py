@@ -48,6 +48,19 @@ def test_bench_x0_override_at_target(capsys):
         assert ln.split(",")[2] == "0"
 
 
+def test_bench_x0_override_counts_at_the_published_calibration(capsys):
+    # epsilon is calibrated at the table's published start, as in the default
+    # run; the overridden start is then counted at that epsilon
+    code, out, err = run_cli(
+        capsys, "bench", "--scenario", "table2-plane-plane", "--x0", "1,2,3"
+    )
+    assert code == 0 and err == ""
+    rows = [ln.split(",") for ln in out.splitlines()[1:]]
+    assert len(rows) == 4
+    assert {r[4] for r in rows} == {"0.091190704668609582"}
+    assert {r[1]: r[2] for r in rows} == {"drm": "3", "map": "6", "crm-s1": "1", "crm-s2": "1"}
+
+
 def test_bench_unknown_table(capsys):
     code, _, err = run_cli(capsys, "bench", "--scenario", "nope")
     assert code == 1 and "unknown table" in err

@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
 
+from circumlib.circummap import (
+    OperatorSet,
+    cc_map,
+    classify_points,
+    fixed_point_residual,
+    in_domain,
+)
 from circumlib.gallery import (
     ClosedFormMap,
+    DomainSpec,
+    FixedPointSpec,
+    ImpropernessIff,
     ProbeGrid,
     Scenario,
     ScenarioNotFoundError,
+    VerificationReport,
     catalog,
     domain_probe,
     scenario,
@@ -13,6 +24,7 @@ from circumlib.gallery import (
     verify_scenario,
 )
 from circumlib.geometry import DEFAULT_TOL
+from circumlib.operators import AffineSubspace, Identity, ReflAffine, Translate
 
 # the reference benchmark row for the line/plane table cannot be reproduced
 # from its on-line start point; see the README's "Known state" paragraph
@@ -118,3 +130,118 @@ def test_domain_probe_empty_grid():
     s = scenario("ball-line-s1")
     rows, agreement = domain_probe(s.operator_set, ProbeGrid(0.0, 1.0, 0, 0.0, 1.0, 0))
     assert rows == [] and agreement is None
+
+
+# -- array classification of the gallery's yes/no checks ----------------------------
+
+# every scenario whose checks need only domain membership at probes
+CLASSIFIED = [s.name for s in catalog()
+              if isinstance(s.expected, (DomainSpec, ImpropernessIff))] + ["ball-projector-fix"]
+
+
+def _probe_sets(s, seed):
+    """(operator set, probes) for every probe set verify_scenario classifies."""
+    kind = s.expected
+    if isinstance(kind, DomainSpec):
+        return [(s.operator_set, kind.probes(seed))]
+    if isinstance(kind, ImpropernessIff):
+        return [(kind.build(params), kind.samples(params, seed)) for params in kind.grid]
+    return [(s.operator_set, kind.proper_probes(seed))]
+
+
+def _scalar_verify(s, seed):
+    """verify_scenario's checks with one in_domain or cc_map call per probe."""
+    kind, S = s.expected, s.operator_set
+    report = VerificationReport(scenario=s.name)
+    if isinstance(kind, DomainSpec):
+        for x in kind.probes(seed):
+            want, got = bool(kind.member(x)), in_domain(S, x).in_domain
+            report.record(float(want != got), want == got, x, want, got)
+    elif isinstance(kind, ImpropernessIff):
+        for params in kind.grid:
+            improper = any(not in_domain(kind.build(params), x).in_domain
+                           for x in kind.samples(params, seed))
+            want = bool(kind.predicate(params))
+            report.record(float(want != improper), want == improper, params, want, improper)
+    else:
+        for x in kind.fixed:
+            r = fixed_point_residual(S, x)
+            ok = r is not None and r <= 1e-9 * (1.0 + np.linalg.norm(x))
+            report.record(r if r is not None else float("inf"), ok, x, 0.0, r)
+        for x in kind.not_fixed(seed):
+            r = fixed_point_residual(S, x)
+            ok = r is not None and r > kind.separation
+            report.record(0.0 if ok else 1.0, ok, x, f"> {kind.separation}", r)
+        for x in kind.proper_probes(seed):
+            ok = cc_map(S, x).exists
+            report.record(0.0 if ok else 1.0, ok, x, "exists", ok)
+    return report
+
+
+def _summary(report):
+    plain = [tuple(v.tolist() if isinstance(v, np.ndarray) else v for v in f)
+             for f in report.failures]
+    return report.checks, plain, report.passed, report.max_deviation
+
+
+@pytest.mark.parametrize("name", CLASSIFIED)
+def test_batched_checks_equal_the_scalar_checks(name):
+    s = scenario(name)
+    for seed in range(5):
+        for S, probes in _probe_sets(s, seed):
+            X = np.reshape(probes, (len(probes), s.dim))
+            assert classify_points(S, X).tolist() == [in_domain(S, x).in_domain
+                                                      for x in probes]
+        got = verify_scenario(s, seed, DEFAULT_TOL)
+        assert _summary(got) == _summary(_scalar_verify(s, seed))
+
+
+@pytest.mark.parametrize("name", ["dr-powers-proper", "relaxed-composed-iff"])
+def test_verify_classifies_probes_as_arrays(in_domain_calls, name):
+    report = verify(name, seed=0)
+    assert report.passed and report.checks > 0
+    assert in_domain_calls == []
+
+
+def test_empty_probe_sets_keep_their_answers():
+    S = scenario("ball-projector-fix").operator_set
+
+    def run(expected):
+        return verify_scenario(Scenario("empty", 2, "no probes", expected, S), 0, DEFAULT_TOL)
+
+    report = run(DomainSpec(member=lambda x: False, probes=lambda seed: []))
+    assert report.checks == 0 and report.passed
+    # no sample finds a point outside the domain, so the family counts as proper
+    report = run(ImpropernessIff(predicate=lambda a: False, grid=[()], build=lambda a: S,
+                                 samples=lambda a, seed: []))
+    assert report.checks == 1 and report.passed
+    report = run(ImpropernessIff(predicate=lambda a: True, grid=[()], build=lambda a: S,
+                                 samples=lambda a, seed: []))
+    assert report.failures == [((), True, False)]
+    report = run(FixedPointSpec(fixed=[], not_fixed=lambda seed: [],
+                                proper_probes=lambda seed: []))
+    assert report.checks == 0 and report.passed
+
+
+def test_classified_failures_record_python_bools():
+    S = OperatorSet((Identity(), ReflAffine(AffineSubspace.span(np.array([1.0, 0.0]))),
+                     ReflAffine(AffineSubspace.span(np.array([1.0, 1.0])))))
+    x = np.array([1.0, 2.0])
+    report = verify_scenario(
+        Scenario("wrong-member", 2, "member disagrees", DomainSpec(
+            member=lambda x: False, probes=lambda seed: [x]), S), 0, DEFAULT_TOL)
+    ((inp, want, got),) = report.failures
+    assert inp is x and want is False and got is True
+    report = verify_scenario(
+        Scenario("wrong-predicate", 2, "predicate disagrees", ImpropernessIff(
+            predicate=lambda a: True, grid=[()], build=lambda a: S,
+            samples=lambda a, seed: [x])), 0, DEFAULT_TOL)
+    assert report.failures == [((), True, False)] and report.failures[0][2] is False
+    # three distinct colinear images: no circumcenter anywhere
+    S = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 0.0])))
+    report = verify_scenario(
+        Scenario("improper-probe", 2, "mapping undefined at the probe", FixedPointSpec(
+            fixed=[], not_fixed=lambda seed: [], proper_probes=lambda seed: [x]), S),
+        0, DEFAULT_TOL)
+    ((inp, want, got),) = report.failures
+    assert inp is x and want == "exists" and got is False

@@ -129,6 +129,23 @@ def test_table1_drm_calibrates_but_row_differs():
     assert np.linalg.norm(first - target) > 0.4
 
 
+@pytest.mark.parametrize("name", [TABLE1, TABLE2])
+def test_overridden_start_counts_at_the_published_epsilon(name):
+    # the reference row holds for the published start, so epsilon is always
+    # calibrated there and an overridden start is counted at that epsilon
+    default = run_benchmark(name)
+    U1, U2, x0, _, _, _ = table(name)
+    same = run_benchmark(name, x0=x0)
+    assert (same.epsilon, same.counts, same.final_errors) == (
+        default.epsilon, default.counts, default.final_errors)
+    start = x0 + 1.0
+    moved = run_benchmark(name, x0=start)
+    assert moved.epsilon == default.epsilon
+    target = best_approximation([U1, U2], start)
+    for method, trace in moved.traces.items():
+        assert moved.counts[method] == iterations_to_tolerance(trace, target, moved.epsilon)
+
+
 def test_map_counts_individual_projections():
     U1, U2, x0, target, _, _ = table(TABLE2)
     trace = map_solve(U1, U2, x0, StopRule(epsilon=1e-300, max_iter=10, target=target))
