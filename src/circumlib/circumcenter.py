@@ -165,16 +165,18 @@ def _near(value, threshold):
 
 
 def _exists_rows(P, tol: Tolerances):
-    """Whether ``circumcenter(PointSet(P[r]))`` exists, for every row r of the
-    stacked point sets ``P`` (N, m, n).
+    """Whether ``circumcenter(PointSet(P[r]))`` exists, and its center, for
+    every row r of the stacked point sets ``P`` (N, m, n).
 
     Applies the rules of :class:`PointSet`, :func:`orthonormal_basis` and
     :func:`circumcenter` with their thresholds and scales as array operations,
-    looping over points and pivot steps, not rows.  Returns ``(exists,
-    settled)``; a row is unsettled when a duplicate distance, a residual norm
-    or the equidistance deviation lies within :data:`SETTLE_FACTOR` of its
-    threshold, or when the scalar path would drop a pivot candidate after
-    reorthogonalization.  Only settled rows' answers are final.
+    looping over points and pivot steps, not rows.  Returns ``(exists, center,
+    settled)``; ``center`` (N, n) holds the verified candidate, meaningful
+    where ``exists`` holds.  A row is unsettled when a duplicate distance, a
+    residual norm or the equidistance deviation lies within
+    :data:`SETTLE_FACTOR` of its threshold, or when the scalar path would drop
+    a pivot candidate after reorthogonalization.  Only settled rows' answers
+    are final.
     """
     N, m, _ = P.shape
     dup_threshold = tol.dup_tol * np.maximum(np.linalg.norm(P, axis=-1).max(axis=-1), 1.0)
@@ -189,15 +191,19 @@ def _exists_rows(P, tol: Tolerances):
     exists = card <= 2
     # Kept points first, in their original order.
     P = np.take_along_axis(P, np.argsort(~keep, axis=1, kind="stable")[..., None], axis=1)
+    # A singleton is its own center and a pair has its midpoint, as in
+    # circumcenter; with m = 1 no row is a pair and the index only stays in range.
+    center = np.where((card == 2)[:, None], 0.5 * (P[:, 0] + P[:, min(m, 2) - 1]), P[:, 0])
     for c in np.unique(card[card >= 3]):
         rows = np.flatnonzero(card == c)
-        exists[rows], unsure = _exists_distinct(P[rows, :c], tol)
+        exists[rows], center[rows], unsure = _exists_distinct(P[rows, :c], tol)
         unsettled[rows] |= unsure
-    return exists, ~unsettled
+    return exists, center, ~unsettled
 
 
 def _exists_distinct(P, tol: Tolerances):
-    """:func:`_exists_rows` for sets (G, c, n) of c >= 3 distinct points."""
+    """``(exists, center, unsettled)`` of :func:`_exists_rows` for sets
+    (G, c, n) of c >= 3 distinct points."""
     G, c, _ = P.shape
     s = c - 1
     rows = np.arange(G)
@@ -234,7 +240,7 @@ def _exists_distinct(P, tol: Tolerances):
     rhs = np.where(accepted, 0.5 * np.einsum("gin,gin->gi", Dp, Dp), 0.0)
     center = x1 + np.einsum("gk,gkn->gn", _forward_substitute(R, rhs), Q)
     _, deviation, eq_threshold = _equidistance(P, center, tol)
-    return deviation <= eq_threshold, unsettled | _near(deviation, eq_threshold)
+    return deviation <= eq_threshold, center, unsettled | _near(deviation, eq_threshold)
 
 
 def circumcenter_three(x, y, z, tol: Tolerances = DEFAULT_TOL) -> CircumcenterOutcome:

@@ -27,6 +27,7 @@ __all__ = [
     "evaluate_set",
     "cc_map",
     "in_domain",
+    "cc_map_rows",
     "classify_points",
     "check_properness_sampled",
     "fixed_point_residual",
@@ -135,26 +136,49 @@ def in_domain(S: OperatorSet, x, tol: Tolerances = DEFAULT_TOL) -> DomainDiagnos
     return DomainDiagnosis(outcome.exists, card, independent, witness)
 
 
+def cc_map_rows(pairs, tol: Tolerances = DEFAULT_TOL):
+    """``cc_map(S, x, tol)`` for every row ``x`` of every ``(S, X)`` in
+    ``pairs``, each ``X`` an (N_i, n) array, as ``(exists, centers)``: a
+    boolean array and an array of centers, one row per input row in the order
+    given.  Rows without a circumcenter have NaN centers.
+
+    Each family's images are evaluated for all its rows at once; the images of
+    families of one size are stacked into one (N, m, n) array and deduplicated,
+    orthonormalized, solved and verified as arrays with the scalar path's
+    thresholds.  A row whose decision comes within
+    ``circumcenter.SETTLE_FACTOR`` of a threshold is decided by :func:`cc_map`
+    itself, so every answer is the pointwise answer.
+    """
+    pairs = [(S, np.asarray(X, dtype=float)) for S, X in pairs]
+    for _, X in pairs:
+        if X.ndim != 2:
+            raise ValueError(f"expected an (N, n) array of points, got shape {X.shape}")
+    X = np.concatenate([X for _, X in pairs]) if pairs else np.zeros((0, 0))
+    owner = np.repeat(np.arange(len(pairs)), [len(Xi) for _, Xi in pairs])
+    sizes = np.array([len(S) for S, _ in pairs], dtype=int)
+    exists = np.zeros(len(X), dtype=bool)
+    centers = np.empty_like(X)
+    settled = np.ones(len(X), dtype=bool)
+    for m in np.unique(sizes):
+        images = np.concatenate([np.stack([apply(op, Xi) for op in S], axis=1)
+                                 for S, Xi in pairs if len(S) == m])
+        if not np.all(np.isfinite(images)):
+            raise ValueError("vector entries must be finite")
+        rows = np.flatnonzero(sizes[owner] == m)
+        exists[rows], centers[rows], settled[rows] = _exists_rows(images, tol)
+    for i in np.flatnonzero(~settled):
+        out = cc_map(pairs[owner[i]][0], X[i], tol)
+        exists[i] = out.exists
+        if out.exists:
+            centers[i] = out.center
+    centers[~exists] = np.nan
+    return exists, centers
+
+
 def classify_points(S: OperatorSet, X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """``in_domain(S, x, tol).in_domain`` for every row ``x`` of ``X`` (N, n),
-    as a boolean array.
-
-    The images are evaluated for all rows at once, as an (N, m, n) array, and
-    deduplicated, orthonormalized, solved and verified as arrays with the
-    scalar path's thresholds.  A row whose decision comes within
-    ``circumcenter.SETTLE_FACTOR`` of a threshold is decided by
-    :func:`in_domain` itself, so every answer is the pointwise answer.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected an (N, n) array of points, got shape {X.shape}")
-    images = np.stack([apply(op, X) for op in S], axis=1)
-    if not np.all(np.isfinite(images)):
-        raise ValueError("vector entries must be finite")
-    inside, settled = _exists_rows(images, tol)
-    for i in np.flatnonzero(~settled):
-        inside[i] = in_domain(S, X[i], tol).in_domain
-    return inside
+    as a boolean array: the ``exists`` column of :func:`cc_map_rows`."""
+    return cc_map_rows([(S, X)], tol)[0]
 
 
 def check_properness_sampled(

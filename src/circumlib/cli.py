@@ -68,7 +68,11 @@ def cmd_bench(args) -> int:
             print(f"error: unknown table {name!r}; choose from {TABLE_NAMES} or 'all'",
                   file=sys.stderr)
             return EXIT_USAGE
-    x0 = _parse_point(args.x0) if args.x0 else None
+    try:
+        x0 = _parse_point(args.x0) if args.x0 else None
+    except ValueError as exc:
+        print(f"error: --x0: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     header = ["table", "method", "iterations", "expected", "epsilon", "final_error"]
     rows = []
@@ -112,6 +116,9 @@ def _corrupted_scenario():
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     if args.self_test_corrupt:
         report = verify_scenario(_corrupted_scenario(), args.seed, DEFAULT_TOL)
         reports = [report]
@@ -138,7 +145,11 @@ def cmd_verify(args) -> int:
 
 
 def _parse_point(text: str) -> np.ndarray:
-    return np.array([float(part) for part in text.split(",") if part.strip() != ""])
+    point = np.array([float(part) for part in text.split(",") if part.strip() != ""])
+    # float() also parses 'nan' and 'inf'
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"coordinates must be finite, got {text!r}")
+    return point
 
 
 def read_point_file(path) -> list:
@@ -224,9 +235,13 @@ def cmd_trace(args) -> int:
     geo = table_geometry(args.table)
     x0, target = geo[2], geo[3]
     epsilon = args.epsilon
-    if epsilon is None:
-        epsilon = run_benchmark(args.table, max_iter=args.max_iter).epsilon
-    rule = StopRule(epsilon=epsilon, max_iter=args.max_iter, target=target)
+    try:
+        if epsilon is None:
+            epsilon = run_benchmark(args.table, max_iter=args.max_iter).epsilon
+        rule = StopRule(epsilon=epsilon, max_iter=args.max_iter, target=target)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     trace = METHODS[args.method](geo, x0, rule, DEFAULT_TOL)
 
     dim = len(x0)

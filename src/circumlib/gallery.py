@@ -20,6 +20,7 @@ from .circumcenter import circumcenter_three
 from .circummap import (
     OperatorSet,
     cc_map,
+    cc_map_rows,
     classify_points,
     evaluate_set,
     fixed_point_residual,
@@ -1153,6 +1154,18 @@ def _rel_dev(got, want) -> float:
     return float(np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want)))
 
 
+def _rows(points, dim: int) -> np.ndarray:
+    """The points as the rows of an (N, dim) array; no points give (0, dim)."""
+    return np.reshape(points, (len(points), dim))
+
+
+def _centers(S: OperatorSet, points, dim: int, tol: Tolerances) -> list:
+    """``cc_map(S, x, tol).center`` for every point, None where no
+    circumcenter exists, from one :func:`cc_map_rows` call."""
+    exists, centers = cc_map_rows([(S, _rows(points, dim))], tol)
+    return [c if ok else None for ok, c in zip(exists.tolist(), centers)]
+
+
 def verify(name: str, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
     """Replay one scenario's expectation; every deviation becomes a failure."""
     return verify_scenario(scenario(name), seed, tol)
@@ -1168,27 +1181,30 @@ def verify_scenario(
     report = VerificationReport(scenario=s.name)
     kind = s.expected
     if isinstance(kind, ClosedFormMap):
-        for x in kind.probes(seed):
+        probes = kind.probes(seed)
+        for x, center in zip(probes, _centers(s.operator_set, probes, s.dim, tol)):
             want = kind.reference(x)
-            out = cc_map(s.operator_set, x, tol)
             if want is None:
-                report.record(float(out.exists), not out.exists, x, None, out.center)
-            elif not out.exists:
+                report.record(float(center is not None), center is None, x, None, center)
+            elif center is None:
                 report.record(1.0, False, x, want, None)
             else:
-                dev = _rel_dev(out.center, want)
-                report.record(dev, dev <= kind.check_tol, x, want, out.center)
+                dev = _rel_dev(center, want)
+                report.record(dev, dev <= kind.check_tol, x, want, center)
     elif isinstance(kind, DomainSpec):
         probes = kind.probes(seed)
-        X = np.reshape(probes, (len(probes), s.dim))
+        X = _rows(probes, s.dim)
         for x, got in zip(probes, classify_points(s.operator_set, X, tol).tolist()):
             want = bool(kind.member(x))
             report.record(float(want != got), want == got, x, want, got)
     elif isinstance(kind, ImpropernessIff):
-        for params in kind.grid:
-            samples = kind.samples(params, seed)
-            X = np.reshape(samples, (len(samples), s.dim))
-            improper = not classify_points(kind.build(params), X, tol).all()
+        # Every family of the grid in one kernel call, split back per family.
+        families = [(kind.build(params), _rows(kind.samples(params, seed), s.dim))
+                    for params in kind.grid]
+        inside, _ = cc_map_rows(families, tol)
+        stops = np.cumsum([len(X) for _, X in families], dtype=int)
+        for params, rows in zip(kind.grid, np.split(inside, stops[:-1])):
+            improper = not rows.all()
             want = bool(kind.predicate(params))
             report.record(float(want != improper), want == improper, params, want, improper)
     elif isinstance(kind, SequenceLimit):
@@ -1210,7 +1226,7 @@ def verify_scenario(
             report.record(0.0 if ok else 1.0, ok, x, f"> {kind.separation}", r)
         if kind.proper_probes is not None:
             probes = kind.proper_probes(seed)
-            X = np.reshape(probes, (len(probes), s.dim))
+            X = _rows(probes, s.dim)
             for x, ok in zip(probes, classify_points(s.operator_set, X, tol).tolist()):
                 report.record(0.0 if ok else 1.0, ok, x, "exists", ok)
     else:
@@ -1219,17 +1235,18 @@ def verify_scenario(
 
 
 def _verify_sequence(s: Scenario, kind: SequenceLimit, report: VerificationReport, tol):
+    limit = [] if kind.limit is None else [kind.limit]
+    centers = _centers(s.operator_set, list(kind.points) + limit, s.dim, tol)
     residuals = []
-    for x in kind.points:
-        out = cc_map(s.operator_set, x, tol)
-        if not out.exists:
+    for x, center in zip(kind.points, centers):
+        if center is None:
             report.record(1.0, False, x, "exists", None)
             continue
-        residuals.append(float(np.linalg.norm(x - out.center)))
+        residuals.append(float(np.linalg.norm(x - center)))
         if kind.cc_values is not None:
             want = kind.cc_values(x)
-            dev = _rel_dev(out.center, want)
-            report.record(dev, dev <= kind.check_tol, x, want, out.center)
+            dev = _rel_dev(center, want)
+            report.record(dev, dev <= kind.check_tol, x, want, center)
     if kind.expect_vanishing is not None and residuals:
         vanished = residuals[-1] <= max(1e-6, 0.05 * residuals[0])
         report.record(
@@ -1240,16 +1257,16 @@ def _verify_sequence(s: Scenario, kind: SequenceLimit, report: VerificationRepor
             vanished,
         )
     if kind.limit is not None:
-        out = cc_map(s.operator_set, kind.limit, tol)
+        center = centers[-1]
         if kind.map_at_limit is not None:
-            if not out.exists:
+            if center is None:
                 report.record(1.0, False, kind.limit, kind.map_at_limit, None)
             else:
-                dev = _rel_dev(out.center, kind.map_at_limit)
+                dev = _rel_dev(center, kind.map_at_limit)
                 report.record(dev, dev <= kind.check_tol, kind.limit, kind.map_at_limit,
-                              out.center)
+                              center)
         if kind.limit_residual is not None:
-            got = fixed_point_residual(s.operator_set, kind.limit, tol)
+            got = None if center is None else float(np.linalg.norm(kind.limit - center))
             dev = float("inf") if got is None else abs(got - kind.limit_residual)
             report.record(dev, dev <= kind.residual_tol, "limit-residual",
                           kind.limit_residual, got)

@@ -5,16 +5,18 @@ import circumlib.gallery as gallery
 
 
 @pytest.fixture
-def in_domain_calls(monkeypatch):
-    """The points the library passes to ``in_domain`` while the test runs."""
+def scalar_calls(monkeypatch):
+    """The ``(S, x)`` of every pointwise ``cc_map`` or ``in_domain`` call made
+    through the library's bindings while the test runs.  The batched
+    classification settles its near-threshold rows with one of these."""
     calls = []
-    real = circummap.in_domain
+    for name in ("cc_map", "in_domain"):
+        real = getattr(circummap, name)
 
-    def counted(S, x, tol):
-        calls.append(x)
-        return real(S, x, tol)
+        def counted(S, x, tol, real=real):
+            calls.append((S, x))
+            return real(S, x, tol)
 
-    monkeypatch.setattr(circummap, "in_domain", counted)
-    # gallery too, should it ever import the name again
-    monkeypatch.setattr(gallery, "in_domain", counted, raising=False)
+        monkeypatch.setattr(circummap, name, counted)
+        monkeypatch.setattr(gallery, name, counted, raising=False)
     return calls

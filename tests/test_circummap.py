@@ -5,6 +5,7 @@ from circumlib.circummap import (
     OperatorSet,
     affine_comb_identity_check,
     cc_map,
+    cc_map_rows,
     check_properness_sampled,
     classify_points,
     demiclosedness_probe,
@@ -223,20 +224,20 @@ def test_classify_points_equals_in_domain_on_the_probe_grid(s):
     OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 4e-9]))),
     OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 4e-11]))),
 ], ids=["dup-above", "dup-below", "rank-above", "rank-below"])
-def test_classify_points_leaves_near_threshold_rows_to_in_domain(in_domain_calls, S):
+def test_classify_points_leaves_near_threshold_rows_to_in_domain(scalar_calls, S):
     X = gaussian_cloud(2, 6, seed=8, scale=0.3)
     want = [in_domain(S, x).in_domain for x in X]
     assert classify_points(S, np.array(X)).tolist() == want
-    assert len(in_domain_calls) == len(X)
+    assert len(scalar_calls) == len(X)
 
 
-def test_classify_points_decides_clear_rows_as_arrays(in_domain_calls):
+def test_classify_points_decides_clear_rows_as_arrays(scalar_calls):
     S = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([0.0, 1.0]),
                      ReflAffine(X_AXIS)))
     X = np.array(gaussian_cloud(2, 40, seed=9) + [np.array([1.0, 0.0])])
     want = [in_domain(S, x).in_domain for x in X]
     assert classify_points(S, X).tolist() == want
-    assert in_domain_calls == []
+    assert scalar_calls == []
     assert want[-1] and not all(want)
 
 
@@ -246,6 +247,30 @@ def test_classify_points_input_shapes():
         classify_points(S_TWO_LINES, np.zeros(2))
     with pytest.raises(ValueError):
         classify_points(S_TWO_LINES, np.array([[0.0, np.nan]]))
+
+
+def test_cc_map_rows_equals_cc_map_across_stacked_families():
+    # families of 1, 3 and 2 operators, interleaved, with an empty one; the
+    # colinear translates have no circumcenter anywhere
+    families = [
+        (OperatorSet((Identity(),)), np.array([[1.0, 2.0]])),
+        (S_TWO_LINES, np.array(gaussian_cloud(2, 5, seed=10) + [np.zeros(2)])),
+        (OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 0.0]))),
+         np.array(gaussian_cloud(2, 2, seed=11))),
+        (S_TWO_LINES, np.zeros((0, 2))),
+        (OperatorSet((Identity(), ReflAffine(X_AXIS))), np.array(gaussian_cloud(2, 3, seed=12))),
+    ]
+    exists, centers = cc_map_rows(families)
+    assert exists.shape == (12,) and centers.shape == (12, 2)
+    outs = [cc_map(S, x) for S, X in families for x in X]
+    assert exists.tolist() == [out.exists for out in outs]
+    for center, out in zip(centers, outs):
+        if out.exists:
+            assert np.linalg.norm(center - out.center) <= 1e-12 * (1.0 + np.linalg.norm(center))
+        else:
+            assert np.isnan(center).all()
+    assert not exists[7:9].any() and exists[9:].all()
+    assert cc_map_rows([])[0].shape == (0,)
 
 
 def test_check_properness_reflector_family_clean():

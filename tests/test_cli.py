@@ -267,3 +267,20 @@ def test_console_script_entry_point(tmp_path):
         )
         assert proc.returncode == 0, (command, proc.stderr)
         assert "PASS" in proc.stdout
+
+
+# -- bad input ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["circumcenter", "bad.txt"],
+    ["verify", "--seed", "-1"],
+    ["trace", "--scenario", "table2-plane-plane", "--epsilon", "-1"],
+], ids=["non-finite-point", "negative-seed", "negative-epsilon"])
+def test_bad_input_is_a_usage_error_not_a_traceback(tmp_path, argv):
+    (tmp_path / "bad.txt").write_text("1,nan\n2,3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(circumlib.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "circumlib.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import circumlib.circummap as circummap
 from circumlib.circummap import (
     OperatorSet,
     cc_map,
+    cc_map_rows,
     classify_points,
+    evaluate_set,
     fixed_point_residual,
+    gaussian_cloud,
     in_domain,
 )
 from circumlib.gallery import (
@@ -16,6 +20,7 @@ from circumlib.gallery import (
     ProbeGrid,
     Scenario,
     ScenarioNotFoundError,
+    SequenceLimit,
     VerificationReport,
     catalog,
     domain_probe,
@@ -132,28 +137,87 @@ def test_domain_probe_empty_grid():
     assert rows == [] and agreement is None
 
 
-# -- array classification of the gallery's yes/no checks ----------------------------
+# -- array classification of the gallery's yes/no checks and centers ----------------
 
 # every scenario whose checks need only domain membership at probes
 CLASSIFIED = [s.name for s in catalog()
               if isinstance(s.expected, (DomainSpec, ImpropernessIff))] + ["ball-projector-fix"]
+# every scenario whose checks compare circumcenters at probes
+CENTERED = [s.name for s in catalog() if isinstance(s.expected, (ClosedFormMap, SequenceLimit))]
+
+# Batched and scalar centers round differently (images of a whole probe set
+# are evaluated as one array, and the solve runs over stacked rows), by at most
+# this much relative to the largest image norm.  The deviations these kinds
+# record are center distances relative to 1 + |want|, or residual norms of
+# probes of norm at most about 10, so max_deviation moves by at most about
+# 10 times as much.
+CENTER_RTOL = 1e-12
+DEVIATION_ATOL = 1e-11
 
 
 def _probe_sets(s, seed):
-    """(operator set, probes) for every probe set verify_scenario classifies."""
+    """(operator set, probes) for every probe set verify_scenario evaluates."""
     kind = s.expected
-    if isinstance(kind, DomainSpec):
+    if isinstance(kind, (DomainSpec, ClosedFormMap)):
         return [(s.operator_set, kind.probes(seed))]
     if isinstance(kind, ImpropernessIff):
         return [(kind.build(params), kind.samples(params, seed)) for params in kind.grid]
+    if isinstance(kind, SequenceLimit):
+        limit = [] if kind.limit is None else [kind.limit]
+        return [(s.operator_set, list(kind.points) + limit)]
     return [(s.operator_set, kind.proper_probes(seed))]
+
+
+def _scalar_sequence(s, kind, report):
+    residuals = []
+    for x in kind.points:
+        out = cc_map(s.operator_set, x)
+        if not out.exists:
+            report.record(1.0, False, x, "exists", None)
+            continue
+        residuals.append(float(np.linalg.norm(x - out.center)))
+        if kind.cc_values is not None:
+            want = kind.cc_values(x)
+            dev = float(np.linalg.norm(out.center - want) / (1.0 + np.linalg.norm(want)))
+            report.record(dev, dev <= kind.check_tol, x, want, out.center)
+    if kind.expect_vanishing is not None and residuals:
+        vanished = residuals[-1] <= max(1e-6, 0.05 * residuals[0])
+        report.record(residuals[-1], vanished == kind.expect_vanishing, "residual-trend",
+                      kind.expect_vanishing, vanished)
+    if kind.limit is not None:
+        out = cc_map(s.operator_set, kind.limit)
+        if kind.map_at_limit is not None:
+            if not out.exists:
+                report.record(1.0, False, kind.limit, kind.map_at_limit, None)
+            else:
+                want = kind.map_at_limit
+                dev = float(np.linalg.norm(out.center - want) / (1.0 + np.linalg.norm(want)))
+                report.record(dev, dev <= kind.check_tol, kind.limit, want, out.center)
+        if kind.limit_residual is not None:
+            got = fixed_point_residual(s.operator_set, kind.limit)
+            dev = float("inf") if got is None else abs(got - kind.limit_residual)
+            report.record(dev, dev <= kind.residual_tol, "limit-residual",
+                          kind.limit_residual, got)
 
 
 def _scalar_verify(s, seed):
     """verify_scenario's checks with one in_domain or cc_map call per probe."""
     kind, S = s.expected, s.operator_set
     report = VerificationReport(scenario=s.name)
-    if isinstance(kind, DomainSpec):
+    if isinstance(kind, ClosedFormMap):
+        for x in kind.probes(seed):
+            want = kind.reference(x)
+            out = cc_map(S, x)
+            if want is None:
+                report.record(float(out.exists), not out.exists, x, None, out.center)
+            elif not out.exists:
+                report.record(1.0, False, x, want, None)
+            else:
+                dev = float(np.linalg.norm(out.center - want) / (1.0 + np.linalg.norm(want)))
+                report.record(dev, dev <= kind.check_tol, x, want, out.center)
+    elif isinstance(kind, SequenceLimit):
+        _scalar_sequence(s, kind, report)
+    elif isinstance(kind, DomainSpec):
         for x in kind.probes(seed):
             want, got = bool(kind.member(x)), in_domain(S, x).in_domain
             report.record(float(want != got), want == got, x, want, got)
@@ -184,23 +248,77 @@ def _summary(report):
     return report.checks, plain, report.passed, report.max_deviation
 
 
-@pytest.mark.parametrize("name", CLASSIFIED)
+@pytest.mark.parametrize("name", CLASSIFIED + CENTERED)
 def test_batched_checks_equal_the_scalar_checks(name):
     s = scenario(name)
     for seed in range(5):
         for S, probes in _probe_sets(s, seed):
             X = np.reshape(probes, (len(probes), s.dim))
-            assert classify_points(S, X).tolist() == [in_domain(S, x).in_domain
-                                                      for x in probes]
-        got = verify_scenario(s, seed, DEFAULT_TOL)
-        assert _summary(got) == _summary(_scalar_verify(s, seed))
+            if name in CLASSIFIED:
+                assert classify_points(S, X).tolist() == [in_domain(S, x).in_domain
+                                                          for x in probes]
+                continue
+            exists, centers = cc_map_rows([(S, X)])
+            for x, ok, center in zip(probes, exists.tolist(), centers):
+                out = cc_map(S, x)
+                assert ok == out.exists
+                if ok:
+                    scale = np.linalg.norm(evaluate_set(S, x).points, axis=1).max()
+                    assert np.linalg.norm(center - out.center) <= CENTER_RTOL * scale
+        got = _summary(verify_scenario(s, seed, DEFAULT_TOL))
+        want = _summary(_scalar_verify(s, seed))
+        if name in CLASSIFIED:
+            assert got == want
+        else:
+            assert got[:3] == want[:3]
+            assert abs(got[3] - want[3]) <= DEVIATION_ATOL
 
 
 @pytest.mark.parametrize("name", ["dr-powers-proper", "relaxed-composed-iff"])
-def test_verify_classifies_probes_as_arrays(in_domain_calls, name):
+def test_verify_classifies_probes_as_arrays(scalar_calls, name):
     report = verify(name, seed=0)
     assert report.passed and report.checks > 0
-    assert in_domain_calls == []
+    assert scalar_calls == []
+
+
+@pytest.mark.parametrize("name", ["four-word-cases", "demiclosedness-fails"])
+def test_verify_batches_the_centers(scalar_calls, name):
+    s = scenario(name)
+    report = verify(name, seed=0)
+    assert report.passed and report.checks > 0
+    # reference closures may call cc_map on other families; the scenario's
+    # own family is evaluated only through the batched kernel
+    assert [x for S, x in scalar_calls if S is s.operator_set] == []
+
+
+def test_improperness_grid_is_one_kernel_call(monkeypatch):
+    calls = []
+    real = circummap._exists_rows
+
+    def counted(P, tol):
+        calls.append(P.shape)
+        return real(P, tol)
+
+    monkeypatch.setattr(circummap, "_exists_rows", counted)
+    report = verify("relaxed-same-line-iff", seed=0)
+    assert report.passed and report.checks == 49
+    assert len(calls) == 1
+
+
+def test_stacked_families_split_at_their_boundaries():
+    proper = OperatorSet((Identity(), ReflAffine(AffineSubspace.span(np.array([1.0, 0.0])))))
+    # three distinct colinear images: no circumcenter anywhere
+    improper = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 0.0])))
+    # (family, sample count); the improper family sits between proper ones,
+    # and the empty one finds no point outside the domain
+    grid = [(proper, 3), (improper, 0), (improper, 1), (proper, 2)]
+    kind = ImpropernessIff(predicate=lambda a: a == 2, grid=list(range(len(grid))),
+                           build=lambda a: grid[a][0],
+                           samples=lambda a, seed: gaussian_cloud(2, grid[a][1], seed + a))
+    report = verify_scenario(Scenario("stacked", 2, "families of 2 and 3 operators", kind),
+                             0, DEFAULT_TOL)
+    assert report.checks == 4
+    assert report.failures == []
 
 
 def test_empty_probe_sets_keep_their_answers():
