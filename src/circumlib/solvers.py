@@ -10,18 +10,27 @@ x_bar = P_{U1 cap U2} x0):
 * CRM: x_{k+1} = circumcenter of the reflector-family image of x_k, measured
   on the iterate itself.
 
+Each method (and ``drm_pair_solve``, which measures the pair sequence by its
+step norms) is a step map plus the sequence it measures, run by one loop that
+owns the residuals, the stop test and the ``max_iter`` cap.
+
 The reference tables were produced elsewhere with an unstated stopping
 tolerance, so the harness calibrates epsilon instead of hard-coding it: the
 iteration count of a method is a step function of epsilon whose jumps are the
 measured distances, giving each (method, count) pair a half-open feasibility
 window.  Calibration intersects the four windows inside the DRM window when
 possible and otherwise falls back to the DRM window alone; the reported
-epsilon is the geometric midpoint of the chosen window.
+epsilon is the geometric midpoint of the chosen window.  A window needs only
+the first count + 1 distances, so each calibration trace stops at its method's
+reference count; the counting solves then stop at the calibrated epsilon, and
+each trace in a result ends at its method's count (at ``max_iter`` when the
+count is None).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,8 +79,8 @@ class StopRule:
     target: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < float("inf"):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.target is not None:
@@ -89,12 +98,16 @@ class IterationTrace:
     iterates: list = field(default_factory=list)
     measured: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-    shadow: list | None = None
     stop_reason: str = MAX_ITER
 
     @property
     def iterations(self) -> int:
         return len(self.measured) - 1
+
+    @property
+    def shadow(self) -> list | None:
+        """The DRM shadow sequence P_{U1} x_k, which DRM measures."""
+        return self.measured if self.method == "drm" else None
 
 
 @dataclass
@@ -110,60 +123,44 @@ class PairTrace:
     stop_reason: str
 
 
-def _residual(point, prev, target):
-    if target is not None:
-        return float(np.linalg.norm(point - target))
-    if prev is None:
-        return float("inf")
-    return float(np.linalg.norm(point - prev))
+def _iterate(method: str, x0, rule: StopRule, step, measure=None) -> IterationTrace:
+    """The one iteration loop: x_{k+1} = step(x_k, m_k) with m_k = measure(x_k)
+    (the iterate itself when ``measure`` is None).  It stops when the residual
+    of m_k is at most epsilon, after ``rule.max_iter`` steps, or when ``step``
+    returns None (the iterate left the map's domain)."""
+    trace = IterationTrace(method)
+    x = as_vector(x0).copy()
+    prev = None
+    while True:
+        point = x if measure is None else measure(x)
+        ref = prev if rule.target is None else rule.target
+        trace.iterates.append(x)
+        trace.measured.append(point)
+        trace.residuals.append(float("inf") if ref is None else float(np.linalg.norm(point - ref)))
+        if trace.residuals[-1] <= rule.epsilon:
+            trace.stop_reason = CONVERGED
+            return trace
+        if len(trace.measured) > rule.max_iter:
+            trace.stop_reason = MAX_ITER
+            return trace
+        x = step(x, point)
+        if x is None:
+            trace.stop_reason = LEFT_DOMAIN
+            return trace
+        prev = point
 
 
 def drm_solve(U1: AffineSubspace, U2: AffineSubspace, x0, rule: StopRule) -> IterationTrace:
     """Douglas-Rachford iteration with convergence measured on the shadow."""
-    x = as_vector(x0)
-    trace = IterationTrace(method="drm", shadow=[])
-    prev_shadow = None
-    for _ in range(rule.max_iter + 1):
-        shadow = U1.project(x)
-        trace.iterates.append(x.copy())
-        trace.shadow.append(shadow)
-        trace.measured.append(shadow)
-        r = _residual(shadow, prev_shadow, rule.target)
-        trace.residuals.append(r)
-        prev_shadow = shadow
-        if r <= rule.epsilon:
-            trace.stop_reason = CONVERGED
-            return trace
-        if len(trace.measured) > rule.max_iter:
-            break
-        x = 0.5 * (x + U2.reflect(U1.reflect(x)))
-    trace.stop_reason = MAX_ITER
-    return trace
+    # R_{U1} x = 2 P_{U1} x - x, reusing the measured shadow.
+    return _iterate("drm", x0, rule, lambda x, shadow: 0.5 * (x + U2.reflect(2.0 * shadow - x)),
+                    U1.project)
 
 
 def map_solve(U1: AffineSubspace, U2: AffineSubspace, x0, rule: StopRule) -> IterationTrace:
     """Alternating projections; every single projection is one iteration."""
-    x = as_vector(x0)
-    trace = IterationTrace(method="map")
-    trace.iterates.append(x.copy())
-    trace.measured.append(x.copy())
-    trace.residuals.append(_residual(x, None, rule.target))
-    if trace.residuals[-1] <= rule.epsilon:
-        trace.stop_reason = CONVERGED
-        return trace
-    subspaces = (U1, U2)
-    step = 0
-    while step < rule.max_iter:
-        x = subspaces[step % 2].project(x)
-        step += 1
-        trace.iterates.append(x.copy())
-        trace.measured.append(x.copy())
-        trace.residuals.append(_residual(x, trace.measured[-2], rule.target))
-        if trace.residuals[-1] <= rule.epsilon:
-            trace.stop_reason = CONVERGED
-            return trace
-    trace.stop_reason = MAX_ITER
-    return trace
+    projections = itertools.cycle((U1.project, U2.project))
+    return _iterate("map", x0, rule, lambda x, _: next(projections)(x))
 
 
 def crm_solve(S: OperatorSet, x0, rule: StopRule, tol: Tolerances = DEFAULT_TOL) -> IterationTrace:
@@ -173,28 +170,12 @@ def crm_solve(S: OperatorSet, x0, rule: StopRule, tol: Tolerances = DEFAULT_TOL)
     when the family is not an identity-containing reflector-word family over
     subspaces with a common point).
     """
-    x = as_vector(x0)
-    trace = IterationTrace(method=f"crm:{S.name}" if S.name else "crm")
-    trace.iterates.append(x.copy())
-    trace.measured.append(x.copy())
-    trace.residuals.append(_residual(x, None, rule.target))
-    if trace.residuals[-1] <= rule.epsilon:
-        trace.stop_reason = CONVERGED
-        return trace
-    for _ in range(rule.max_iter):
+
+    def step(x, _):
         outcome = cc_map(S, x, tol)
-        if not outcome.exists:
-            trace.stop_reason = LEFT_DOMAIN
-            return trace
-        x = outcome.center
-        trace.iterates.append(x.copy())
-        trace.measured.append(x.copy())
-        trace.residuals.append(_residual(x, trace.measured[-2], rule.target))
-        if trace.residuals[-1] <= rule.epsilon:
-            trace.stop_reason = CONVERGED
-            return trace
-    trace.stop_reason = MAX_ITER
-    return trace
+        return outcome.center if outcome.exists else None
+
+    return _iterate(f"crm:{S.name}" if S.name else "crm", x0, rule, step)
 
 
 def best_approximation(subspaces, x0, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -230,29 +211,22 @@ def drm_pair_solve(U: AffineSubspace, V, x0, rule: StopRule) -> PairTrace:
     the first pair moves by at most epsilon.
     """
     proj_v = _proj_fn(V)
-    x = as_vector(x0)
-    trace = PairTrace([], [], [], [], [], MAX_ITER)
-    prev_pair = None
-    for _ in range(rule.max_iter + 1):
-        ru = U.reflect(x)
+    n = len(as_vector(x0))
+
+    def pair(x):
         pu = U.project(x)
-        pv = proj_v(ru)
-        pv_alt = proj_v(pu)
-        trace.iterates.append(x.copy())
-        trace.pairs_u.append(pu)
-        trace.pairs_v.append(pv)
-        trace.pairs_v_alt.append(pv_alt)
-        trace.gaps.append(float(np.linalg.norm(pu - pv)))
-        pair = np.concatenate([pu, pv])
-        if prev_pair is not None and np.linalg.norm(pair - prev_pair) <= rule.epsilon:
-            trace.stop_reason = CONVERGED
-            return trace
-        prev_pair = pair
-        if len(trace.iterates) > rule.max_iter:
-            break
-        x = 0.5 * (x + 2.0 * pv - ru)  # (R_V R_U + Id)/2 reusing pv = P_V(R_U x)
-    trace.stop_reason = MAX_ITER
-    return trace
+        return np.concatenate([pu, proj_v(2.0 * pu - x)])  # (P_U x, P_V R_U x)
+
+    def step(x, p):
+        ru = 2.0 * p[:n] - x  # R_U x from the measured P_U x
+        return 0.5 * (x + 2.0 * p[n:] - ru)  # (R_V R_U + Id)/2 reusing P_V(R_U x)
+
+    trace = _iterate("drm-pair", x0, StopRule(rule.epsilon, rule.max_iter), step, pair)
+    pairs_u = [p[:n] for p in trace.measured]
+    pairs_v = [p[n:] for p in trace.measured]
+    return PairTrace(trace.iterates, pairs_u, pairs_v, [proj_v(pu) for pu in pairs_u],
+                     [float(np.linalg.norm(pu - pv)) for pu, pv in zip(pairs_u, pairs_v)],
+                     trace.stop_reason)
 
 
 # -- benchmark tables ----------------------------------------------------------
@@ -334,6 +308,10 @@ def calibrate_epsilon(distance_seqs: dict, counts: dict):
 
 @dataclass
 class BenchResult:
+    """A table's counts at the calibrated epsilon.  ``traces[m]`` is method m's
+    solve at that epsilon: it ends at m's count, or at ``max_iter`` (or where
+    CRM left its domain) when the count is None."""
+
     table: str
     epsilon: float
     joint_window: bool
@@ -347,27 +325,43 @@ class BenchResult:
         return self.counts == self.expected
 
 
-def _trace_methods(geo, x0, max_iter: int, tol: Tolerances):
-    """Every method's trace from ``x0`` and its distances to the target."""
-    target = best_approximation(geo[:2], x0, tol)
-    probe_rule = StopRule(epsilon=np.finfo(float).tiny, max_iter=max_iter, target=target)
-    traces = {m: solve(geo, x0, probe_rule, tol) for m, solve in METHODS.items()}
-    dists = {m: [float(np.linalg.norm(p - target)) for p in tr.measured]
-             for m, tr in traces.items()}
-    return traces, dists
+def _prefix_to(trace: IterationTrace, epsilon: float) -> IterationTrace | None:
+    """What a solve at ``epsilon`` gives when ``trace`` (the same solve at a
+    smaller epsilon) reaches ``epsilon``: the trace up to its first residual
+    within ``epsilon``.  None when the trace never gets there."""
+    k = next((k for k, r in enumerate(trace.residuals) if r <= epsilon), None)
+    if k is None:
+        return None
+    return replace(trace, iterates=trace.iterates[:k + 1], measured=trace.measured[:k + 1],
+                   residuals=trace.residuals[:k + 1], stop_reason=CONVERGED)
 
 
 def run_benchmark(
     name: str, max_iter: int = 64, tol: Tolerances = DEFAULT_TOL, x0=None
 ) -> BenchResult:
     """Run all four methods on a table from ``x0`` (default: its published start),
-    at the epsilon that the reference DRM count calibrates from the published start."""
+    at the epsilon that the reference DRM count calibrates from the published start.
+
+    Calibration reads only the first ``count + 1`` distances of each method, so
+    its traces stop at the reference count.  Each method is then solved once at
+    the calibrated epsilon, unless its calibration trace from the same start
+    already reaches that epsilon.
+    """
     geo = table_geometry(name)
     expected = REFERENCE_COUNTS[name]
-    traces, dists = _trace_methods(geo, geo[2], max_iter, tol)
-    eps, joint = calibrate_epsilon(dists, expected)
-    if x0 is not None:
-        traces, dists = _trace_methods(geo, as_vector(x0), max_iter, tol)
-    counts = {m: next((k for k, v in enumerate(d) if v <= eps), None) for m, d in dists.items()}
-    finals = {m: d[counts[m]] if counts[m] is not None else d[-1] for m, d in dists.items()}
+    target = best_approximation(geo[:2], geo[2], tol)
+    tiny = np.finfo(float).tiny
+    calib = {m: solve(geo, geo[2], StopRule(tiny, min(max_iter, expected[m]), target), tol)
+             for m, solve in METHODS.items()}
+    eps, joint = calibrate_epsilon({m: tr.residuals for m, tr in calib.items()}, expected)
+    start = geo[2] if x0 is None else as_vector(x0)
+    reuse = np.array_equal(start, geo[2])
+    if not reuse:
+        target = best_approximation(geo[:2], start, tol)
+    traces = {m: (reuse and _prefix_to(calib[m], eps))
+              or solve(geo, start, StopRule(eps, max_iter, target), tol)
+              for m, solve in METHODS.items()}
+    counts = {m: tr.iterations if tr.stop_reason == CONVERGED else None
+              for m, tr in traces.items()}
+    finals = {m: tr.residuals[-1] for m, tr in traces.items()}
     return BenchResult(name, eps, joint, counts, dict(expected), finals, traces)

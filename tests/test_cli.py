@@ -276,7 +276,8 @@ def test_console_script_entry_point(tmp_path):
     ["circumcenter", "bad.txt"],
     ["verify", "--seed", "-1"],
     ["trace", "--scenario", "table2-plane-plane", "--epsilon", "-1"],
-], ids=["non-finite-point", "negative-seed", "negative-epsilon"])
+    ["trace", "--scenario", "table2-plane-plane", "--method", "crm-s2", "--epsilon", "nan"],
+], ids=["non-finite-point", "negative-seed", "negative-epsilon", "nan-epsilon"])
 def test_bad_input_is_a_usage_error_not_a_traceback(tmp_path, argv):
     (tmp_path / "bad.txt").write_text("1,nan\n2,3\n")
     env = dict(os.environ, PYTHONPATH=str(Path(circumlib.__file__).resolve().parents[1]))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from circumlib import solvers
+from circumlib.geometry import DEFAULT_TOL
 from circumlib.operators import AffineSubspace, Ball
 from circumlib.solvers import (
+    METHODS,
     REFERENCE_COUNTS,
     StopRule,
     best_approximation,
@@ -144,6 +147,53 @@ def test_overridden_start_counts_at_the_published_epsilon(name):
     target = best_approximation([U1, U2], start)
     for method, trace in moved.traces.items():
         assert moved.counts[method] == iterations_to_tolerance(trace, target, moved.epsilon)
+
+
+def _full_distances(geo, start, max_iter):
+    """Every method's distances to the target over all ``max_iter`` steps."""
+    target = best_approximation(geo[:2], start)
+    rule = StopRule(np.finfo(float).tiny, max_iter, target)
+    return {m: [float(np.linalg.norm(p - target)) for p in solve(geo, start, rule,
+                                                                  DEFAULT_TOL).measured]
+            for m, solve in METHODS.items()}
+
+
+@pytest.mark.parametrize("max_iter", [64, 13])
+@pytest.mark.parametrize("name", [TABLE1, TABLE2])
+def test_benchmark_equals_full_trace_reference(name, max_iter):
+    # Reference: calibrate on full traces from the published start, then count
+    # each method at its first distance within epsilon on full traces from x0.
+    # max_iter = 13 leaves table 1's MAP and CRM-S1 counts (17, 16) as None.
+    geo = table(name)
+    published = _full_distances(geo, geo[2], max_iter)
+    eps, joint = calibrate_epsilon(published, REFERENCE_COUNTS[name])
+    starts = [None, geo[2]] + [
+        np.random.default_rng(seed).uniform(-3.0, 3.0, 3) for seed in range(10)]
+    for x0 in starts:
+        dists = published if x0 is None else _full_distances(geo, x0, max_iter)
+        counts = {m: next((k for k, v in enumerate(d) if v <= eps), None)
+                  for m, d in dists.items()}
+        finals = {m: d[-1] if counts[m] is None else d[counts[m]] for m, d in dists.items()}
+        got = run_benchmark(name, max_iter=max_iter, x0=x0)
+        assert (got.epsilon, got.joint_window, got.counts, got.final_errors) == (
+            eps, joint, counts, finals)
+
+
+@pytest.mark.parametrize("name", [TABLE1, TABLE2])
+def test_benchmark_too_short_for_the_drm_count(name):
+    with pytest.raises(ValueError, match="no epsilon reproduces the requested DRM count"):
+        run_benchmark(name, max_iter=3)
+
+
+def test_benchmark_stops_crm_at_its_count(monkeypatch):
+    # calibration runs CRM to the reference counts 5 and 2, and the counting
+    # solve at the calibrated epsilon needs at most as many steps again
+    calls = []
+    cc_map = solvers.cc_map
+    monkeypatch.setattr(solvers, "cc_map", lambda *args: calls.append(1) or cc_map(*args))
+    result = run_benchmark(TABLE2)
+    assert result.counts == REFERENCE_COUNTS[TABLE2]
+    assert len(calls) <= 14
 
 
 def test_map_counts_individual_projections():
