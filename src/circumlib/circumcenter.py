@@ -93,20 +93,19 @@ class CircumcenterOutcome:
 def _equidistance(points, center, tol: Tolerances):
     """Mean distance from ``center`` to ``points``, the largest deviation from
     it, and the deviation threshold ``eq_tol * (1 + radius)``.  Broadcasts
-    over leading axes: ``points`` (..., m, n) against ``center`` (..., n).
+    over trailing axes: ``points`` (m, n, ...) against ``center`` (n, ...).
     """
-    dists = np.linalg.norm(points - center[..., None, :], axis=-1)
-    radius = dists.mean(axis=-1)
-    deviation = np.abs(dists - radius[..., None]).max(axis=-1)
+    dists = np.linalg.norm(points - center, axis=1)
+    radius = dists.mean(axis=0)
+    deviation = np.abs(dists - radius).max(axis=0)
     return radius, deviation, tol.eq_tol * (1.0 + radius)
 
 
 def _forward_substitute(R, rhs):
-    """Solve ``R a = rhs`` for lower-triangular ``R``, over leading axes."""
+    """Solve ``R a = rhs`` for lower-triangular ``R``."""
     a = np.zeros_like(rhs)
-    for i in range(rhs.shape[-1]):
-        partial = np.einsum("...k,...k->...", R[..., i, :i], a[..., :i])
-        a[..., i] = (rhs[..., i] - partial) / R[..., i, i]
+    for i in range(len(rhs)):
+        a[i] = (rhs[i] - np.einsum("k,k->", R[i, :i], a[:i])) / R[i, i]
     return a
 
 
@@ -164,81 +163,119 @@ def _near(value, threshold):
     return (value > threshold / SETTLE_FACTOR) & (value < threshold * SETTLE_FACTOR)
 
 
+def _dot(u, v):
+    """Inner products of rows-last arrays (..., n, N) over their coordinate
+    axis, accumulated one coordinate at a time."""
+    out = u[..., 0, :] * v[..., 0, :]
+    for k in range(1, u.shape[-2]):
+        out += u[..., k, :] * v[..., k, :]
+    return out
+
+
+def _norms(v):
+    """Euclidean norms of rows-last arrays (..., n, N)."""
+    return np.sqrt(_dot(v, v))
+
+
 def _exists_rows(P, tol: Tolerances):
-    """Whether ``circumcenter(PointSet(P[r]))`` exists, and its center, for
-    every row r of the stacked point sets ``P`` (N, m, n).
+    """Whether ``circumcenter(PointSet(P[..., r]))`` exists, and its center,
+    for every row r of the point sets ``P`` (m, n, N), stacked rows-last.
 
     Applies the rules of :class:`PointSet`, :func:`orthonormal_basis` and
-    :func:`circumcenter` with their thresholds and scales as array operations,
-    looping over points and pivot steps, not rows.  Returns ``(exists, center,
-    settled)``; ``center`` (N, n) holds the verified candidate, meaningful
-    where ``exists`` holds.  A row is unsettled when a duplicate distance, a
-    residual norm or the equidistance deviation lies within
-    :data:`SETTLE_FACTOR` of its threshold, or when the scalar path would drop
-    a pivot candidate after reorthogonalization.  Only settled rows' answers
-    are final.
+    :func:`circumcenter` with their thresholds and scales as array operations
+    over the trailing row axis, looping over points and pivot steps, not rows.
+    Returns ``(exists, center, settled)``; ``center`` (n, N) holds the verified
+    candidate, meaningful where ``exists`` holds.  A row is unsettled when a
+    duplicate distance, a residual norm or the equidistance deviation lies
+    within :data:`SETTLE_FACTOR` of its threshold, or when the scalar path
+    would drop a pivot candidate after reorthogonalization.  Only settled
+    rows' answers are final.
     """
-    N, m, _ = P.shape
-    dup_threshold = tol.dup_tol * np.maximum(np.linalg.norm(P, axis=-1).max(axis=-1), 1.0)
-    keep = np.ones((N, m), dtype=bool)
+    m, _, N = P.shape
+    dup_threshold = tol.dup_tol * np.maximum(_norms(P).max(axis=0), 1.0)
+    # Every pair (j, i < j) once, grouped by j.
+    later = [j for j in range(m) for _ in range(j)]
+    earlier = [i for j in range(m) for i in range(j)]
+    dist = _norms(P[later] - P[earlier])
+    close = dist <= dup_threshold
+    near = _near(dist, dup_threshold)
+    keep = np.ones((m, N), dtype=bool)
     unsettled = np.zeros(N, dtype=bool)
-    for j in range(1, m):
-        dist = np.linalg.norm(P[:, j, None, :] - P[:, :j], axis=-1)
-        kept_before = keep[:, :j]
-        keep[:, j] = np.all(~kept_before | (dist > dup_threshold[:, None]), axis=1)
-        unsettled |= np.any(kept_before & _near(dist, dup_threshold[:, None]), axis=1)
-    card = keep.sum(axis=1)
+    for k in range(1, m):
+        pairs = slice(k * (k - 1) // 2, k * (k + 1) // 2)
+        keep[k] = ~(keep[:k] & close[pairs]).any(axis=0)
+        unsettled |= (keep[:k] & near[pairs]).any(axis=0)
+    card = keep.sum(axis=0)
     exists = card <= 2
-    # Kept points first, in their original order.
-    P = np.take_along_axis(P, np.argsort(~keep, axis=1, kind="stable")[..., None], axis=1)
-    # A singleton is its own center and a pair has its midpoint, as in
-    # circumcenter; with m = 1 no row is a pair and the index only stays in range.
-    center = np.where((card == 2)[:, None], 0.5 * (P[:, 0] + P[:, min(m, 2) - 1]), P[:, 0])
-    for c in np.unique(card[card >= 3]):
-        rows = np.flatnonzero(card == c)
-        exists[rows], center[rows], unsure = _exists_distinct(P[rows, :c], tol)
-        unsettled[rows] |= unsure
+    # A singleton is its own center, as in circumcenter.
+    center = P[0].copy()
+    for c, count in enumerate(np.bincount(card, minlength=m + 1)):
+        if c < 2 or not count:
+            continue
+        # A cardinality that every row shares is handled without a copy.
+        rows = slice(None) if count == N else np.flatnonzero(card == c)
+        sets = P[..., rows]
+        if c < m:
+            # Kept points first, in their original order.
+            order = np.argsort(~keep[:, rows], axis=0, kind="stable")[:c]
+            sets = np.take_along_axis(sets, order[:, None], axis=0)
+        if c == 2:
+            center[:, rows] = 0.5 * (sets[0] + sets[1])
+        else:
+            exists[rows], center[:, rows], unsure = _exists_distinct(sets, tol)
+            unsettled[rows] |= unsure
     return exists, center, ~unsettled
 
 
 def _exists_distinct(P, tol: Tolerances):
     """``(exists, center, unsettled)`` of :func:`_exists_rows` for sets
-    (G, c, n) of c >= 3 distinct points."""
-    G, c, _ = P.shape
-    s = c - 1
-    rows = np.arange(G)
-    x1 = P[:, 0]
-    D = P[:, 1:] - x1[:, None]
-    threshold = tol.rank_tol * np.linalg.norm(D, axis=-1).max(axis=-1)
-    residuals = D.copy()
-    Q = np.zeros_like(D)
-    pivots = np.zeros((G, s), dtype=int)
-    accepted = np.zeros((G, s), dtype=bool)
-    remaining = np.ones((G, s), dtype=bool)
-    active = np.ones(G, dtype=bool)
-    unsettled = np.zeros(G, dtype=bool)
+    (c, n, G) of c >= 3 distinct points, stacked rows-last."""
+    s = len(P) - 1
+    x1 = P[0]
+    D = P[1:] - x1
+    norms = _norms(D)
+    threshold = tol.rank_tol * norms.max(axis=0)
+    residuals = D
+    remaining = np.ones(norms.shape, dtype=bool)
+    active = np.ones(threshold.shape, dtype=bool)
+    unsettled = np.zeros(threshold.shape, dtype=bool)
+    Q, Dp, accepted = [], [], []
     for k in range(s):
-        norms = np.where(remaining, np.linalg.norm(residuals, axis=-1), -1.0)
-        best = norms.argmax(axis=1)
-        top = norms[rows, best]
-        q = residuals[rows, best]
-        for b in np.moveaxis(Q[:, :k], 1, 0):
-            q = q - np.einsum("gn,gn->g", q, b)[:, None] * b
-        nq = np.linalg.norm(q, axis=-1)
+        if k:
+            norms = _norms(residuals)
+        norms = np.where(remaining, norms, -1.0)
+        # The remaining difference with the largest residual norm, the lowest
+        # index on ties: its residual q and the difference d itself.
+        best, top, q, d = 0, norms[0], residuals[0], D[0]
+        for i in range(1, s):
+            better = norms[i] > top
+            best = np.where(better, i, best)
+            top = np.where(better, norms[i], top)
+            q = np.where(better, residuals[i], q)
+            d = np.where(better, D[i], d)
+        for b in Q:
+            q = q - _dot(q, b) * b
+        nq = _norms(q)
         taken = top > threshold
         unsettled |= active & (_near(top, threshold) | (taken & (nq < threshold * SETTLE_FACTOR)))
-        active &= taken & (nq > threshold)
-        q = np.where(active[:, None], q / np.where(active, nq, 1.0)[:, None], 0.0)
-        Q[:, k] = q
-        pivots[:, k] = best
-        accepted[:, k] = active
-        remaining[rows, best] = False
-        residuals = residuals - np.einsum("gsn,gn->gs", residuals, q)[..., None] * q[:, None, :]
-    # Steps past a row's rank get the equation a_k = 0; their basis rows are 0.
-    Dp = D[rows[:, None], pivots]
-    R = np.where(accepted[..., None], np.einsum("gin,gkn->gik", Dp, Q), np.eye(s))
-    rhs = np.where(accepted, 0.5 * np.einsum("gin,gin->gi", Dp, Dp), 0.0)
-    center = x1 + np.einsum("gk,gkn->gn", _forward_substitute(R, rhs), Q)
+        active = active & taken & (nq > threshold)
+        if not active.any():
+            # Every row has reached its rank; later steps change nothing.
+            break
+        q = np.where(active, q / np.where(active, nq, 1.0), 0.0)
+        Q.append(q)
+        Dp.append(d)
+        accepted.append(active)
+        if k < s - 1:
+            remaining = remaining & (np.arange(s)[:, None] != best)
+            residuals = residuals - _dot(residuals, q)[:, None] * q
+    # Forward substitution R a = rhs with R[i, k] = <Dp[i], Q[k]>, over the
+    # accepted pivots; a row's steps past its rank keep a = 0.
+    a = []
+    for d, q, acc in zip(Dp, Q, accepted):
+        rhs = 0.5 * _dot(d, d) - sum(_dot(d, b) * ak for b, ak in zip(Q, a))
+        a.append(np.where(acc, rhs / np.where(acc, _dot(d, q), 1.0), 0.0))
+    center = x1 + sum(ak * q for ak, q in zip(a, Q))
     _, deviation, eq_threshold = _equidistance(P, center, tol)
     return deviation <= eq_threshold, center, unsettled | _near(deviation, eq_threshold)
 

@@ -143,9 +143,9 @@ def cc_map_rows(pairs, tol: Tolerances = DEFAULT_TOL):
     given.  Rows without a circumcenter have NaN centers.
 
     Each family's images are evaluated for all its rows at once; the images of
-    families of one size are stacked into one (N, m, n) array and deduplicated,
-    orthonormalized, solved and verified as arrays with the scalar path's
-    thresholds.  A row whose decision comes within
+    families of one size are stacked rows-last into one (m, n, N) array and
+    deduplicated, orthonormalized, solved and verified as arrays with the
+    scalar path's thresholds.  A row whose decision comes within
     ``circumcenter.SETTLE_FACTOR`` of a threshold is decided by :func:`cc_map`
     itself, so every answer is the pointwise answer.
     """
@@ -157,15 +157,18 @@ def cc_map_rows(pairs, tol: Tolerances = DEFAULT_TOL):
     owner = np.repeat(np.arange(len(pairs)), [len(Xi) for _, Xi in pairs])
     sizes = np.array([len(S) for S, _ in pairs], dtype=int)
     exists = np.zeros(len(X), dtype=bool)
-    centers = np.empty_like(X)
+    centers = np.empty_like(X.T)
     settled = np.ones(len(X), dtype=bool)
     for m in np.unique(sizes):
-        images = np.concatenate([np.stack([apply(op, Xi) for op in S], axis=1)
-                                 for S, Xi in pairs if len(S) == m])
-        if not np.all(np.isfinite(images)):
+        # np.array copies each family's transposed images in C order, so the
+        # row axis is the contiguous one.
+        images = np.concatenate([np.array([apply(op, Xi).T for op in S])
+                                 for S, Xi in pairs if len(S) == m], axis=2)
+        if not np.isfinite(images).all():
             raise ValueError("vector entries must be finite")
         rows = np.flatnonzero(sizes[owner] == m)
-        exists[rows], centers[rows], settled[rows] = _exists_rows(images, tol)
+        exists[rows], centers[:, rows], settled[rows] = _exists_rows(images, tol)
+    centers = centers.T
     for i in np.flatnonzero(~settled):
         out = cc_map(pairs[owner[i]][0], X[i], tol)
         exists[i] = out.exists

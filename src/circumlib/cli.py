@@ -30,7 +30,15 @@ from .gallery import (
     verify_scenario,
 )
 from .geometry import DEFAULT_TOL
-from .solvers import METHODS, TABLE_NAMES, StopRule, run_benchmark, table_geometry
+from .solvers import (
+    METHODS,
+    REFERENCE_COUNTS,
+    TABLE_NAMES,
+    StopRule,
+    calibrate_table,
+    run_benchmark,
+    table_geometry,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -237,7 +245,8 @@ def cmd_trace(args) -> int:
     epsilon = args.epsilon
     try:
         if epsilon is None:
-            epsilon = run_benchmark(args.table, max_iter=args.max_iter).epsilon
+            counts = REFERENCE_COUNTS[args.table]
+            epsilon = calibrate_table(geo, counts, target, args.max_iter)[0]
         rule = StopRule(epsilon=epsilon, max_iter=args.max_iter, target=target)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

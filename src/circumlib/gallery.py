@@ -1303,7 +1303,7 @@ def domain_probe(S: OperatorSet, grid: ProbeGrid, tol: Tolerances = DEFAULT_TOL,
     (None when no reference predicate is given)."""
     X = grid.coordinates()
     inside = classify_points(S, X, tol).tolist()
-    rows = [(x, y, f) for (x, y), f in zip(X.tolist(), inside)]
+    rows = list(zip(X[:, 0].tolist(), X[:, 1].tolist(), inside))
     agreement = None
     if member is not None and inside:
         agreement = sum(bool(member(p)) == f for p, f in zip(X, inside)) / len(inside)

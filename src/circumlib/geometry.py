@@ -61,7 +61,7 @@ def as_vector(x) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 

@@ -66,7 +66,7 @@ def _as_points(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 2:
         return as_vector(v)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 

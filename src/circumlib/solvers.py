@@ -61,6 +61,7 @@ __all__ = [
     "table_geometry",
     "count_window",
     "calibrate_epsilon",
+    "calibrate_table",
     "run_benchmark",
 ]
 
@@ -336,24 +337,34 @@ def _prefix_to(trace: IterationTrace, epsilon: float) -> IterationTrace | None:
                    residuals=trace.residuals[:k + 1], stop_reason=CONVERGED)
 
 
+def calibrate_table(geo, counts: dict, target, max_iter: int = 64,
+                    tol: Tolerances = DEFAULT_TOL):
+    """The epsilon at which the methods, run on a table's geometry ``geo`` from
+    its published start toward ``target``, stop after ``counts[m]`` steps, as
+    ``(epsilon, joint_ok, traces)`` (see :func:`calibrate_epsilon`).
+
+    Calibration reads only the first ``count + 1`` distances of each method, so
+    each trace stops at its count (or at ``max_iter``).
+    """
+    tiny = np.finfo(float).tiny
+    traces = {m: solve(geo, geo[2], StopRule(tiny, min(max_iter, counts[m]), target), tol)
+              for m, solve in METHODS.items()}
+    eps, joint = calibrate_epsilon({m: tr.residuals for m, tr in traces.items()}, counts)
+    return eps, joint, traces
+
+
 def run_benchmark(
     name: str, max_iter: int = 64, tol: Tolerances = DEFAULT_TOL, x0=None
 ) -> BenchResult:
     """Run all four methods on a table from ``x0`` (default: its published start),
-    at the epsilon that the reference DRM count calibrates from the published start.
-
-    Calibration reads only the first ``count + 1`` distances of each method, so
-    its traces stop at the reference count.  Each method is then solved once at
-    the calibrated epsilon, unless its calibration trace from the same start
-    already reaches that epsilon.
+    at the epsilon that :func:`calibrate_table` finds for the reference counts.
+    Each method is solved once at that epsilon, unless its calibration trace
+    from the same start already reaches it.
     """
     geo = table_geometry(name)
     expected = REFERENCE_COUNTS[name]
     target = best_approximation(geo[:2], geo[2], tol)
-    tiny = np.finfo(float).tiny
-    calib = {m: solve(geo, geo[2], StopRule(tiny, min(max_iter, expected[m]), target), tol)
-             for m, solve in METHODS.items()}
-    eps, joint = calibrate_epsilon({m: tr.residuals for m, tr in calib.items()}, expected)
+    eps, joint, calib = calibrate_table(geo, expected, target, max_iter, tol)
     start = geo[2] if x0 is None else as_vector(x0)
     reuse = np.array_equal(start, geo[2])
     if not reuse:

@@ -4,14 +4,17 @@ required to agree with it everywhere."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circumlib.circumcenter import (
     PointSet,
+    _exists_rows,
     circumcenter,
     circumcenter_oracle,
     circumcenter_three,
 )
-from circumlib.geometry import rank
+from circumlib.geometry import DEFAULT_TOL, rank
 
 
 def both(points):
@@ -234,3 +237,53 @@ def test_continuity_under_perturbation():
         assert moved.exists
         worst = max(worst, np.linalg.norm(moved.center - center0) / np.abs(delta).max())
     assert np.isfinite(worst) and worst < 1e3
+
+
+# -- the batched kernel against the scalar path ---------------------------------
+
+
+def _stacked_sets(rng, N, m, n):
+    """N sets of m points in R^n at scales 1e-3..1e3, stacked rows-last as
+    (m, n, N).  Each set is generic, has exact duplicates, has a near duplicate
+    at 0.5 or 2 times dup_tol (just under or over it) or far from it (1e-5 or
+    1e5 times), or is collinear or coplanar; one stack mixes cardinalities."""
+    sets = rng.standard_normal((N, m, n)) * 10.0 ** rng.uniform(-3, 3, size=(N, 1, 1))
+    for pts in sets:
+        kind = rng.integers(5)
+        if kind == 1 and m >= 2:
+            for _ in range(rng.integers(1, m)):
+                i, j = rng.choice(m, 2, replace=False)
+                pts[j] = pts[i]
+        elif kind == 2 and m >= 2:
+            i, j = rng.choice(m, 2, replace=False)
+            step = rng.standard_normal(n)
+            scale = max(np.linalg.norm(pts, axis=1).max(), 1.0)
+            factor = rng.choice([0.5, 2.0, 1e-5, 1e5])
+            pts[j] = pts[i] + factor * DEFAULT_TOL.dup_tol * scale * step / np.linalg.norm(step)
+        elif kind == 3:
+            pts[:] = pts[0] + rng.standard_normal((m, 1)) * pts[1 % m]
+        elif kind == 4:
+            pts[:] = pts[0] + rng.standard_normal((m, 2)) @ pts[[1 % m, 2 % m]]
+    return np.ascontiguousarray(sets.transpose(1, 2, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), N=st.integers(min_value=0, max_value=50),
+       m=st.integers(min_value=1, max_value=5), n=st.integers(min_value=1, max_value=3))
+def test_batched_kernel_settled_rows_match_the_scalar_path(seed, N, m, n):
+    P = _stacked_sets(np.random.default_rng(seed), N, m, n)
+    exists, center, settled = _exists_rows(P, DEFAULT_TOL)
+    assert exists.shape == settled.shape == (N,) and center.shape == (n, N)
+    # Both paths factor the same differences in the same pivot order and differ
+    # only in rounding.  A settled row's accepted residuals exceed SETTLE_FACTOR
+    # * rank_tol = 1e-7 of its largest difference, so the rounding is amplified
+    # at most about 1e7 times: a relative 1e-7 of the larger of the center's
+    # and the points' magnitudes leaves room to spare (3e-9 was the largest
+    # seen over 3,000 seeded stacks).
+    rtol = 1e-7
+    for r in np.flatnonzero(settled):
+        out = circumcenter(PointSet(P[..., r]))
+        assert exists[r] == out.exists
+        if out.exists:
+            size = max(np.linalg.norm(out.center), np.abs(P[..., r]).max())
+            assert np.linalg.norm(center[:, r] - out.center) <= rtol * size

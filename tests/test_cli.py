@@ -216,6 +216,23 @@ def test_trace_drm_with_explicit_epsilon(capsys):
     assert len(lines) == 2 + 12  # header + k=0..12 at this tolerance
 
 
+def test_trace_runs_only_the_calibration_and_its_own_solve(capsys, monkeypatch):
+    import circumlib.solvers as solvers
+
+    calls = []
+    for name in ("drm_solve", "map_solve", "crm_solve"):
+        def counted(*args, real=getattr(solvers, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+    code, _, _ = run_cli(capsys, "trace", "--scenario", "table1-line-plane", "--method", "map")
+    assert code == 0
+    # one calibration solve per method, then the traced one; the benchmark's
+    # counting solves (MAP to 17 steps, CRM-S1 to 16, CRM-S2 to 2) are not run
+    assert calls == ["drm_solve", "map_solve", "crm_solve", "crm_solve", "map_solve"]
+
+
 # -- determinism ---------------------------------------------------------------------
 
 
