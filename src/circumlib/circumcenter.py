@@ -36,7 +36,8 @@ class PointSet:
 
     Construction merges points closer than ``dup_tol`` times the family scale,
     keeping the first representative (set semantics: operator images that
-    coincide count once).
+    coincide count once).  The rule is the circumcenter kernel's own dedup
+    step.
     """
 
     def __init__(self, points, tol: Tolerances = DEFAULT_TOL):
@@ -46,12 +47,8 @@ class PointSet:
         dims = {len(p) for p in pts}
         if len(dims) > 1:
             raise ValueError(f"mixed point dimensions: {sorted(dims)}")
-        scale = max(max(np.linalg.norm(p) for p in pts), 1.0)
-        merged: list[np.ndarray] = []
-        for p in pts:
-            if all(np.linalg.norm(p - q) > tol.dup_tol * scale for q in merged):
-                merged.append(p)
-        self.points = np.array(merged)
+        P = np.array(pts)
+        self.points = P[_dedup(P[..., None], tol)[0][:, 0]]
 
     @property
     def dim(self) -> int:
@@ -70,10 +67,11 @@ class CircumcenterOutcome:
 
     When ``exists`` is true, ``center`` lies in the affine hull of the input
     and is equidistant (within the verification tolerance) from every input
-    point; ``radius`` is the mean distance to the pivot subfamily and
-    ``basis_indices`` names that subfamily.  A nonexistent circumcenter from
-    :func:`circumcenter` keeps the pivot indices, so ``len(basis_indices)`` is
-    one more than the rank of the differences either way.
+    point; ``radius`` is the mean distance to the input points.
+    ``basis_indices`` names the anchor and the pivot subfamily of the
+    differences to it.  A nonexistent circumcenter from :func:`circumcenter`
+    keeps them too, so ``len(basis_indices)`` is one more than the rank of the
+    differences either way.
     """
 
     exists: bool
@@ -90,82 +88,27 @@ class CircumcenterOutcome:
         return CircumcenterOutcome(True, as_vector(center), float(radius), tuple(basis_indices))
 
 
-def _equidistance(points, center, tol: Tolerances):
-    """Mean distance from ``center`` to ``points``, the largest deviation from
-    it, and the deviation threshold ``eq_tol * (1 + radius)``.  Broadcasts
-    over trailing axes: ``points`` (m, n, ...) against ``center`` (n, ...).
-    """
-    dists = np.linalg.norm(points - center, axis=1)
-    radius = dists.mean(axis=0)
-    deviation = np.abs(dists - radius).max(axis=0)
-    return radius, deviation, tol.eq_tol * (1.0 + radius)
-
-
-def _forward_substitute(R, rhs):
-    """Solve ``R a = rhs`` for lower-triangular ``R``."""
-    a = np.zeros_like(rhs)
-    for i in range(len(rhs)):
-        a[i] = (rhs[i] - np.einsum("k,k->", R[i, :i], a[:i])) / R[i, i]
-    return a
-
-
 def circumcenter(K: PointSet, tol: Tolerances = DEFAULT_TOL) -> CircumcenterOutcome:
-    """Circumcenter of ``K`` from the Gram-Schmidt factor of its differences.
+    """Circumcenter of ``K``: the N = 1 case of :func:`_exists_rows`.
 
-    Singletons are their own circumcenter, pairs give the midpoint.  For
-    larger sets column-pivoted Gram-Schmidt (:func:`orthonormal_basis`) over
-    the differences ``d_i = x_i - x_1`` selects a maximal independent
-    subfamily ``D`` and an orthonormal basis ``Q`` of its span; this is the
-    only rank decision.  In pivot order ``R = D Q^T`` is lower triangular, and
-    the candidate
-
-        c = x_1 + Q^T a,   R a = 1/2 (|d_1|^2, ..., |d_t|^2),
-
-    found by forward substitution, is then verified for equidistance against
-    every point of ``K``.  Verification failure means the circumcenter does
-    not exist, which is reported as a value, not raised.
+    Verification failure means the circumcenter does not exist, which is
+    reported as a value, not raised.
     """
-    pts = K.points
-    m = len(pts)
-    if m == 1:
-        return CircumcenterOutcome.found(pts[0], 0.0, (0,))
-    if m == 2:
-        mid = 0.5 * (pts[0] + pts[1])
-        return CircumcenterOutcome.found(mid, np.linalg.norm(pts[1] - pts[0]) / 2.0, (0, 1))
-
-    x1 = pts[0]
-    diffs = pts[1:] - x1
-    basis, pivots = orthonormal_basis(diffs, tol)
-    if not pivots:
-        # All points collapsed onto x1 beyond dup_tol would have been merged;
-        # reaching here means numerically zero spread.
-        return CircumcenterOutcome.found(x1, 0.0, (0,))
-    D = diffs[pivots]
-    Q = np.array(basis)
-    a = _forward_substitute(D @ Q.T, 0.5 * np.einsum("ij,ij->i", D, D))
-    center = x1 + Q.T @ a
-
-    indices = (0, *[i + 1 for i in pivots])
-    radius = _equidistance(pts[list(indices)], center, tol)[0]
-    _, deviation, threshold = _equidistance(pts, center, tol)
-    if deviation > threshold:
+    exists, center, radius, _, pivots = _exists_rows(K.points[..., None], tol)
+    indices = [int(i) for i in pivots[:, 0] if i >= 0]
+    if not exists[0]:
         return CircumcenterOutcome.not_found(indices)
-    return CircumcenterOutcome.found(center, radius, indices)
-
-
-# A batched decision whose deciding quantity lies within this factor of its
-# threshold is left to the scalar path: rounding differences between the two
-# can only flip a decision that close.
-SETTLE_FACTOR = 1e3
-
-
-def _near(value, threshold):
-    return (value > threshold / SETTLE_FACTOR) & (value < threshold * SETTLE_FACTOR)
+    return CircumcenterOutcome.found(center[:, 0], radius[0], indices)
 
 
 def _dot(u, v):
     """Inner products of rows-last arrays (..., n, N) over their coordinate
-    axis, accumulated one coordinate at a time."""
+    axis, accumulated one coordinate at a time.  Both evaluations below sum in
+    that order; for few rows one accumulate is cheaper than a loop of small
+    operations, for many it is slower (its inner loop runs along the strided
+    coordinate axis)."""
+    if u.shape[-1] <= 16:
+        return np.add.accumulate(u * v, axis=-2)[..., -1, :]
     out = u[..., 0, :] * v[..., 0, :]
     for k in range(1, u.shape[-2]):
         out += u[..., k, :] * v[..., k, :]
@@ -177,107 +120,124 @@ def _norms(v):
     return np.sqrt(_dot(v, v))
 
 
-def _exists_rows(P, tol: Tolerances):
-    """Whether ``circumcenter(PointSet(P[..., r]))`` exists, and its center,
-    for every row r of the point sets ``P`` (m, n, N), stacked rows-last.
+def _pairs(m: int):
+    """Every pair (j, i < j) of m points once, grouped by j, as the index
+    lists ``(later, earlier)``."""
+    return [j for j in range(m) for _ in range(j)], [i for j in range(m) for i in range(j)]
 
-    Applies the rules of :class:`PointSet`, :func:`orthonormal_basis` and
-    :func:`circumcenter` with their thresholds and scales as array operations
-    over the trailing row axis, looping over points and pivot steps, not rows.
-    Returns ``(exists, center, settled)``; ``center`` (n, N) holds the verified
-    candidate, meaningful where ``exists`` holds.  A row is unsettled when a
-    duplicate distance, a residual norm or the equidistance deviation lies
-    within :data:`SETTLE_FACTOR` of its threshold, or when the scalar path
-    would drop a pivot candidate after reorthogonalization.  Only settled
-    rows' answers are final.
-    """
+
+def _dedup(P, tol: Tolerances):
+    """``(keep, dist)`` for the point sets ``P`` (m, n, N), stacked rows-last:
+    ``keep`` (m, N) marks the points :class:`PointSet` keeps, and ``dist``
+    holds the distances of the pairs of :func:`_pairs`.  A point is dropped
+    when it lies within ``dup_tol * max(|p|, 1)`` (the largest point norm of
+    its set) of an earlier kept point."""
     m, _, N = P.shape
     dup_threshold = tol.dup_tol * np.maximum(_norms(P).max(axis=0), 1.0)
-    # Every pair (j, i < j) once, grouped by j.
-    later = [j for j in range(m) for _ in range(j)]
-    earlier = [i for j in range(m) for i in range(j)]
+    later, earlier = _pairs(m)
     dist = _norms(P[later] - P[earlier])
     close = dist <= dup_threshold
-    near = _near(dist, dup_threshold)
     keep = np.ones((m, N), dtype=bool)
-    unsettled = np.zeros(N, dtype=bool)
-    for k in range(1, m):
-        pairs = slice(k * (k - 1) // 2, k * (k + 1) // 2)
-        keep[k] = ~(keep[:k] & close[pairs]).any(axis=0)
-        unsettled |= (keep[:k] & near[pairs]).any(axis=0)
+    if close.any():
+        for k in range(1, m):
+            pairs = slice(k * (k - 1) // 2, k * (k + 1) // 2)
+            keep[k] = ~(keep[:k] & close[pairs]).any(axis=0)
+    return keep, dist
+
+
+def _exists_rows(P, tol: Tolerances):
+    """The circumcenter of every point set of ``P`` (m, n, N), stacked
+    rows-last, as array operations over the trailing row axis, looping over
+    points and pivot steps, not rows.
+
+    Returns ``(exists, center, radius, card, pivots)``: ``center`` (n, N) is
+    the verified candidate, meaningful where ``exists`` holds; ``radius`` its
+    mean distance to the kept points and ``card`` their number; ``pivots``
+    (2 + steps, N) the anchor, the other point of a pair, then each step's
+    accepted point, -1 where there is none.
+
+    Points are deduplicated by :func:`_dedup`; the non-kept ones get zero
+    differences and take no part in the pivot search or the equidistance
+    check.  One kept point is its own center and two give their midpoint.
+    Otherwise the differences ``d_i = x_i - x_a`` are taken to the anchor
+    ``x_a``, the earlier point of the closest kept pair (the first such pair
+    of :func:`_pairs` on ties), so that the short differences of a tight
+    cluster far from the other points are exact.  Column-pivoted
+    Gram-Schmidt with one reorthogonalization pass makes the only rank
+    decision: each step takes the remaining difference with the largest
+    residual norm (the lowest index on ties); a residual norm at most
+    ``rank_tol`` times the largest difference norm ends the row, and a
+    candidate whose reorthogonalized norm is at most that is dropped while
+    the search goes on.  In pivot order ``R = D Q^T`` is lower triangular,
+    and the candidate
+
+        c = x_a + Q^T a,   R a = 1/2 (|d_1|^2, ..., |d_t|^2),
+
+    found by forward substitution, exists when its distances to the kept
+    points deviate from their mean by at most ``eq_tol * (1 + radius)``.
+    Each row's answer depends on that row alone, so a batch row equals its
+    own N = 1 call exactly.
+    """
+    m, _, N = P.shape
+    keep, dist = _dedup(P, tol)
     card = keep.sum(axis=0)
-    exists = card <= 2
-    # A singleton is its own center, as in circumcenter.
-    center = P[0].copy()
-    for c, count in enumerate(np.bincount(card, minlength=m + 1)):
-        if c < 2 or not count:
-            continue
-        # A cardinality that every row shares is handled without a copy.
-        rows = slice(None) if count == N else np.flatnonzero(card == c)
-        sets = P[..., rows]
-        if c < m:
-            # Kept points first, in their original order.
-            order = np.argsort(~keep[:, rows], axis=0, kind="stable")[:c]
-            sets = np.take_along_axis(sets, order[:, None], axis=0)
-        if c == 2:
-            center[:, rows] = 0.5 * (sets[0] + sets[1])
-        else:
-            exists[rows], center[:, rows], unsure = _exists_distinct(sets, tol)
-            unsettled[rows] |= unsure
-    return exists, center, ~unsettled
-
-
-def _exists_distinct(P, tol: Tolerances):
-    """``(exists, center, unsettled)`` of :func:`_exists_rows` for sets
-    (c, n, G) of c >= 3 distinct points, stacked rows-last."""
-    s = len(P) - 1
-    x1 = P[0]
-    D = P[1:] - x1
-    norms = _norms(D)
+    index = np.arange(m)[:, None]
+    if m > 1:
+        later, earlier = _pairs(m)
+        closest = np.where(keep[later] & keep[earlier], dist, np.inf).argmin(axis=0)
+        first, second = np.take(earlier, closest), np.take(later, closest)
+    else:
+        first = second = np.zeros(N, dtype=int)
+    # Picking with a one-hot mask is exact: every other term is zero.
+    x1 = (P * (index == first)[:, None]).sum(axis=0)
+    remaining = keep & (index != first)
+    D = (P - x1) * remaining[:, None]
+    DD = _dot(D, D)
+    norms = np.sqrt(DD)
     threshold = tol.rank_tol * norms.max(axis=0)
     residuals = D
-    remaining = np.ones(norms.shape, dtype=bool)
-    active = np.ones(threshold.shape, dtype=bool)
-    unsettled = np.zeros(threshold.shape, dtype=bool)
-    Q, Dp, accepted = [], [], []
-    for k in range(s):
+    # Rows of one or two kept points need no pivot search.
+    active = card > 2
+    pivots = [first, np.where(card == 2, second, -1)]
+    Q, a = [], []
+    for k in range(m - 1):
         if k:
             norms = _norms(residuals)
-        norms = np.where(remaining, norms, -1.0)
         # The remaining difference with the largest residual norm, the lowest
         # index on ties: its residual q and the difference d itself.
-        best, top, q, d = 0, norms[0], residuals[0], D[0]
-        for i in range(1, s):
-            better = norms[i] > top
-            best = np.where(better, i, best)
-            top = np.where(better, norms[i], top)
-            q = np.where(better, residuals[i], q)
-            d = np.where(better, D[i], d)
-        for b in Q:
-            q = q - _dot(q, b) * b
-        nq = _norms(q)
-        taken = top > threshold
-        unsettled |= active & (_near(top, threshold) | (taken & (nq < threshold * SETTLE_FACTOR)))
-        active = active & taken & (nq > threshold)
+        norms = np.where(remaining, norms, -1.0)
+        best = norms.argmax(axis=0)
+        active = active & (norms.max(axis=0) > threshold)
         if not active.any():
             # Every row has reached its rank; later steps change nothing.
             break
-        q = np.where(active, q / np.where(active, nq, 1.0), 0.0)
+        chosen = index == best
+        q = (residuals * chosen[:, None]).sum(axis=0)
+        d = (D * chosen[:, None]).sum(axis=0)
+        # Second orthogonalization pass stabilizes nearly dependent inputs.
+        for b in Q:
+            q = q - _dot(q, b) * b
+        nq = _norms(q)
+        accept = active & (nq > threshold)
+        # A dropped candidate adds a zero direction and a = 0, which change
+        # nothing.  Forward substitution, with R[k, j] = <d, Q[j]>:
+        q = np.where(accept, q / np.where(accept, nq, 1.0), 0.0)
+        rhs = 0.5 * (DD * chosen).sum(axis=0) - sum(_dot(d, b) * aj for b, aj in zip(Q, a))
+        a.append(np.where(accept, rhs / np.where(accept, _dot(d, q), 1.0), 0.0))
         Q.append(q)
-        Dp.append(d)
-        accepted.append(active)
-        if k < s - 1:
-            remaining = remaining & (np.arange(s)[:, None] != best)
+        pivots.append(np.where(accept, best, -1))
+        if k < m - 2:
+            remaining = remaining & ~chosen
             residuals = residuals - _dot(residuals, q)[:, None] * q
-    # Forward substitution R a = rhs with R[i, k] = <Dp[i], Q[k]>, over the
-    # accepted pivots; a row's steps past its rank keep a = 0.
-    a = []
-    for d, q, acc in zip(Dp, Q, accepted):
-        rhs = 0.5 * _dot(d, d) - sum(_dot(d, b) * ak for b, ak in zip(Q, a))
-        a.append(np.where(acc, rhs / np.where(acc, _dot(d, q), 1.0), 0.0))
-    center = x1 + sum(ak * q for ak, q in zip(a, Q))
-    _, deviation, eq_threshold = _equidistance(P, center, tol)
-    return deviation <= eq_threshold, center, unsettled | _near(deviation, eq_threshold)
+    center = x1 + sum(aj * q for aj, q in zip(a, Q))
+    x2 = (P * (index == second)[:, None]).sum(axis=0)
+    center = np.where(card == 2, 0.5 * (x1 + x2), center)
+    dists = _norms(P - center)
+    # Summed point by point, in order, like the compacted set's sum.
+    radius = np.add.accumulate(dists * keep, axis=0)[-1] / card
+    deviation = (np.abs(dists - radius) * keep).max(axis=0)
+    exists = deviation <= tol.eq_tol * (1.0 + radius)
+    return exists, center, radius, card, np.array(pivots)
 
 
 def circumcenter_three(x, y, z, tol: Tolerances = DEFAULT_TOL) -> CircumcenterOutcome:

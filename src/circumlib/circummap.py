@@ -136,18 +136,27 @@ def in_domain(S: OperatorSet, x, tol: Tolerances = DEFAULT_TOL) -> DomainDiagnos
     return DomainDiagnosis(outcome.exists, card, independent, witness)
 
 
+def _images(S: OperatorSet, X) -> np.ndarray:
+    """The images ``T x`` of every row ``x`` of ``X`` (N, n) under every
+    operator of ``S``, stacked rows-last as (m, n, N)."""
+    # np.array copies each transposed image in C order, so the row axis is
+    # the contiguous one.
+    images = np.array([apply(op, X).T for op in S])
+    if not np.isfinite(images).all():
+        raise ValueError("vector entries must be finite")
+    return images
+
+
 def cc_map_rows(pairs, tol: Tolerances = DEFAULT_TOL):
     """``cc_map(S, x, tol)`` for every row ``x`` of every ``(S, X)`` in
     ``pairs``, each ``X`` an (N_i, n) array, as ``(exists, centers)``: a
     boolean array and an array of centers, one row per input row in the order
     given.  Rows without a circumcenter have NaN centers.
 
-    Each family's images are evaluated for all its rows at once; the images of
-    families of one size are stacked rows-last into one (m, n, N) array and
-    deduplicated, orthonormalized, solved and verified as arrays with the
-    scalar path's thresholds.  A row whose decision comes within
-    ``circumcenter.SETTLE_FACTOR`` of a threshold is decided by :func:`cc_map`
-    itself, so every answer is the pointwise answer.
+    Each family's images are evaluated for all its rows at once, and the
+    images of families of one size go through one :func:`_exists_rows` call,
+    the kernel whose N = 1 case is :func:`cc_map`; every row's answer is the
+    pointwise answer.
     """
     pairs = [(S, np.asarray(X, dtype=float)) for S, X in pairs]
     for _, X in pairs:
@@ -158,22 +167,11 @@ def cc_map_rows(pairs, tol: Tolerances = DEFAULT_TOL):
     sizes = np.array([len(S) for S, _ in pairs], dtype=int)
     exists = np.zeros(len(X), dtype=bool)
     centers = np.empty_like(X.T)
-    settled = np.ones(len(X), dtype=bool)
     for m in np.unique(sizes):
-        # np.array copies each family's transposed images in C order, so the
-        # row axis is the contiguous one.
-        images = np.concatenate([np.array([apply(op, Xi).T for op in S])
-                                 for S, Xi in pairs if len(S) == m], axis=2)
-        if not np.isfinite(images).all():
-            raise ValueError("vector entries must be finite")
+        images = np.concatenate([_images(S, Xi) for S, Xi in pairs if len(S) == m], axis=2)
         rows = np.flatnonzero(sizes[owner] == m)
-        exists[rows], centers[:, rows], settled[rows] = _exists_rows(images, tol)
+        exists[rows], centers[:, rows] = _exists_rows(images, tol)[:2]
     centers = centers.T
-    for i in np.flatnonzero(~settled):
-        out = cc_map(pairs[owner[i]][0], X[i], tol)
-        exists[i] = out.exists
-        if out.exists:
-            centers[i] = out.center
     centers[~exists] = np.nan
     return exists, centers
 
@@ -191,19 +189,18 @@ def check_properness_sampled(
 
     For families of exactly three operators each sample is also cross-checked
     against the exact criterion (existence iff cardinality <= 2 or affine
-    independence); mismatches indicate a numerical classification bug.
+    independence); mismatches indicate a numerical classification bug.  All
+    samples go through one kernel call.
     """
-    report = PropernessReport(checked=0)
-    for x in points:
-        x = as_vector(x)
-        diag = in_domain(S, x, tol)
-        report.checked += 1
-        if not diag.in_domain:
-            report.counterexamples.append(x)
-        if len(S) == 3:
-            expected = diag.card <= 2 or diag.affinely_independent
-            if expected != diag.in_domain:
-                report.criterion_mismatches.append(x)
+    pts = [as_vector(x) for x in points]
+    if not pts:
+        return PropernessReport(checked=0)
+    exists, _, _, card, pivots = _exists_rows(_images(S, np.array(pts)), tol)
+    report = PropernessReport(checked=len(pts))
+    report.counterexamples = [pts[i] for i in np.flatnonzero(~exists)]
+    if len(S) == 3:
+        independent = (card <= 2) | ((pivots >= 0).sum(axis=0) == card)
+        report.criterion_mismatches = [pts[i] for i in np.flatnonzero(independent != exists)]
     return report
 
 

@@ -23,7 +23,6 @@ from .circummap import (
     cc_map_rows,
     classify_points,
     evaluate_set,
-    fixed_point_residual,
     gaussian_cloud,
     relaxation,
 )
@@ -1216,12 +1215,15 @@ def verify_scenario(
             dev = float("inf") if got is None else float(abs(got - want))
             report.record(dev, got == want, f"{kind.table}:{method}", want, got)
     elif isinstance(kind, FixedPointSpec):
-        for x in kind.fixed:
-            r = fixed_point_residual(s.operator_set, x, tol)
+        # fixed_point_residual for the fixed and the not-fixed probes at once.
+        fixed = list(kind.fixed)
+        probes = fixed + list(kind.not_fixed(seed))
+        residuals = [None if c is None else float(np.linalg.norm(x - c))
+                     for x, c in zip(probes, _centers(s.operator_set, probes, s.dim, tol))]
+        for x, r in zip(fixed, residuals):
             ok = r is not None and r <= 1e-9 * (1.0 + np.linalg.norm(x))
             report.record(r if r is not None else float("inf"), ok, x, 0.0, r)
-        for x in kind.not_fixed(seed):
-            r = fixed_point_residual(s.operator_set, x, tol)
+        for x, r in zip(probes[len(fixed):], residuals[len(fixed):]):
             ok = r is not None and r > kind.separation
             report.record(0.0 if ok else 1.0, ok, x, f"> {kind.separation}", r)
         if kind.proper_probes is not None:

@@ -7,8 +7,8 @@ import circumlib.gallery as gallery
 @pytest.fixture
 def scalar_calls(monkeypatch):
     """The ``(S, x)`` of every pointwise ``cc_map`` or ``in_domain`` call made
-    through the library's bindings while the test runs.  The batched
-    classification settles its near-threshold rows with one of these."""
+    through the library's bindings while the test runs.  The batched paths
+    make none: they share the circumcenter kernel with these calls."""
     calls = []
     for name in ("cc_map", "in_domain"):
         real = getattr(circummap, name)

@@ -239,7 +239,39 @@ def test_continuity_under_perturbation():
     assert np.isfinite(worst) and worst < 1e3
 
 
-# -- the batched kernel against the scalar path ---------------------------------
+def _exact_planar_center(x1, x2, x3):
+    """The circumcenter of three points of R^2 in rational arithmetic,
+    rounded once to floats."""
+    from fractions import Fraction
+
+    x1, x2, x3 = [[Fraction(float(v)) for v in p] for p in (x1, x2, x3)]
+    a = [x2[0] - x1[0], x2[1] - x1[1]]
+    b = [x3[0] - x1[0], x3[1] - x1[1]]
+    ra, rb = (a[0] ** 2 + a[1] ** 2) / 2, (b[0] ** 2 + b[1] ** 2) / 2
+    det = a[0] * b[1] - a[1] * b[0]
+    return np.array([float(x1[0] + (ra * b[1] - a[1] * rb) / det),
+                     float(x1[1] + (a[0] * rb - ra * b[0]) / det)])
+
+
+def test_tight_pair_far_from_the_first_point_keeps_full_accuracy():
+    # Two points 1e-4 apart and a third 4 away, listed first.  Differences to
+    # the first point would round the short chord between the other two to
+    # about 4e-16 absolute, a relative error of about 1e-11 in the center;
+    # anchored at the closest pair that chord is exact.
+    rng = np.random.default_rng(15)
+    errors = []
+    for _ in range(300):
+        p, u, v = rng.standard_normal((3, 2))
+        q = p + 1e-4 * u / np.linalg.norm(u)
+        far = p + 4.0 * v / np.linalg.norm(v)
+        out = circumcenter(PointSet([far, p, q]))
+        assert out.exists
+        exact = _exact_planar_center(far, p, q)
+        errors.append(np.linalg.norm(out.center - exact) / np.linalg.norm(exact))
+    assert np.median(errors) <= 1e-14 and max(errors) <= 1e-11
+
+
+# -- batch rows against single calls ------------------------------------------------
 
 
 def _stacked_sets(rng, N, m, n):
@@ -270,20 +302,18 @@ def _stacked_sets(rng, N, m, n):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), N=st.integers(min_value=0, max_value=50),
        m=st.integers(min_value=1, max_value=5), n=st.integers(min_value=1, max_value=3))
-def test_batched_kernel_settled_rows_match_the_scalar_path(seed, N, m, n):
+def test_batched_kernel_rows_equal_their_own_single_calls(seed, N, m, n):
     P = _stacked_sets(np.random.default_rng(seed), N, m, n)
-    exists, center, settled = _exists_rows(P, DEFAULT_TOL)
-    assert exists.shape == settled.shape == (N,) and center.shape == (n, N)
-    # Both paths factor the same differences in the same pivot order and differ
-    # only in rounding.  A settled row's accepted residuals exceed SETTLE_FACTOR
-    # * rank_tol = 1e-7 of its largest difference, so the rounding is amplified
-    # at most about 1e7 times: a relative 1e-7 of the larger of the center's
-    # and the points' magnitudes leaves room to spare (3e-9 was the largest
-    # seen over 3,000 seeded stacks).
-    rtol = 1e-7
-    for r in np.flatnonzero(settled):
+    exists, center, radius, card, pivots = _exists_rows(P, DEFAULT_TOL)
+    assert exists.shape == radius.shape == card.shape == (N,) and center.shape == (n, N)
+    # Each row's answer depends on that row alone: the kernel at N = 1 and
+    # circumcenter on the deduplicated set give it exactly.
+    for r in range(N):
+        one = _exists_rows(P[..., r:r + 1], DEFAULT_TOL)
+        assert one[0][0] == exists[r] and np.array_equal(one[1][:, 0], center[:, r])
+        assert one[3][0] == card[r]
         out = circumcenter(PointSet(P[..., r]))
-        assert exists[r] == out.exists
+        assert out.exists == exists[r]
+        assert len(out.basis_indices) == (pivots[:, r] >= 0).sum()
         if out.exists:
-            size = max(np.linalg.norm(out.center), np.abs(P[..., r]).max())
-            assert np.linalg.norm(center[:, r] - out.center) <= rtol * size
+            assert np.array_equal(out.center, center[:, r])

@@ -305,6 +305,31 @@ def test_improperness_grid_is_one_kernel_call(monkeypatch):
     assert len(calls) == 1
 
 
+def test_fixed_point_residuals_come_from_one_kernel_call(monkeypatch, scalar_calls):
+    s = scenario("ball-projector-fix")
+    calls, recorded = [], []
+    real_rows, real_record = circummap._exists_rows, VerificationReport.record
+
+    def counted(P, tol):
+        calls.append(P.shape)
+        return real_rows(P, tol)
+
+    def spy(self, deviation, ok, inp, expected, got):
+        recorded.append((inp, got))
+        return real_record(self, deviation, ok, inp, expected, got)
+
+    monkeypatch.setattr(circummap, "_exists_rows", counted)
+    monkeypatch.setattr(VerificationReport, "record", spy)
+    report = verify(s.name, seed=1)
+    assert report.passed and scalar_calls == []
+    # one call for the fixed and not-fixed probes, one for the proper probes
+    assert len(calls) == 2
+    count = len(s.expected.fixed) + len(s.expected.not_fixed(1))
+    assert count > 1
+    for x, got in recorded[:count]:
+        assert got == fixed_point_residual(s.operator_set, x)
+
+
 def test_stacked_families_split_at_their_boundaries():
     proper = OperatorSet((Identity(), ReflAffine(AffineSubspace.span(np.array([1.0, 0.0])))))
     # three distinct colinear images: no circumcenter anywhere
