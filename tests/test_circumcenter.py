@@ -68,6 +68,25 @@ def test_pair_midpoint():
     assert out.radius == pytest.approx(np.sqrt(5.0))
 
 
+def test_pair_far_from_the_origin_has_its_midpoint_as_circumcenter():
+    # Two points near 1e8, an odd number of ulps apart and well above the
+    # dedup threshold: their midpoint rounds by half an ulp, so its distances
+    # to them differ by more than eq_tol, yet every pair has a circumcenter.
+    x = np.array([1e8, 3.0])
+    y = x + [10001 * np.spacing(1e8), 0.0]
+    out = circumcenter(PointSet([x, y]))
+    assert out.exists and out.basis_indices == (0, 1)
+    np.testing.assert_array_equal(out.center, 0.5 * (x + y))
+    gap = abs(np.linalg.norm(out.center - x) - np.linalg.norm(out.center - y))
+    assert gap > DEFAULT_TOL.eq_tol * (1.0 + out.radius)
+    # In a batch too, beside a duplicate that leaves the pair and a triangle.
+    far = np.array([1e8, 1e4])
+    P = np.ascontiguousarray(np.array([[x, y, x], [x, y, y], [x, y, far]]).transpose(1, 2, 0))
+    exists, center, _, card, _ = _exists_rows(P, DEFAULT_TOL)
+    assert exists.tolist() == [True, True, True] and card.tolist() == [2, 2, 3]
+    np.testing.assert_array_equal(center[:, :2], np.tile(out.center[:, None], 2))
+
+
 def test_collinear_reals_not_exists():
     assert not circumcenter(PointSet([[0.0], [1.0], [2.0]])).exists
 
@@ -311,9 +330,9 @@ def test_batched_kernel_rows_equal_their_own_single_calls(seed, N, m, n):
     for r in range(N):
         one = _exists_rows(P[..., r:r + 1], DEFAULT_TOL)
         assert one[0][0] == exists[r] and np.array_equal(one[1][:, 0], center[:, r])
-        assert one[3][0] == card[r]
+        assert one[2][0] == radius[r] and one[3][0] == card[r]
         out = circumcenter(PointSet(P[..., r]))
         assert out.exists == exists[r]
         assert len(out.basis_indices) == (pivots[:, r] >= 0).sum()
         if out.exists:
-            assert np.array_equal(out.center, center[:, r])
+            assert np.array_equal(out.center, center[:, r]) and out.radius == radius[r]
