@@ -17,7 +17,7 @@ import numpy as np
 
 from .circumcenter import CircumcenterOutcome, PointSet, _exists_rows, circumcenter
 from .geometry import DEFAULT_TOL, Tolerances, as_vector
-from .operators import AffineComb, Identity, Operator, ProjAffine, ReflAffine, apply, reflector_word
+from .operators import AffineComb, Identity, Operator, ProjAffine, ReflAffine, _word, apply
 
 __all__ = [
     "OperatorSet",
@@ -32,6 +32,7 @@ __all__ = [
     "check_properness_sampled",
     "fixed_point_residual",
     "demiclosedness_probe",
+    "residuals_vanish",
     "relaxation",
     "relaxed_set",
     "affine_comb_identity_check",
@@ -60,17 +61,18 @@ class OperatorSet:
         return iter(self.ops)
 
     @classmethod
-    def reflectors(cls, subspaces, name: str = "") -> "OperatorSet":
-        """The family {Id, R_U1, ..., R_Um}."""
-        return cls((Identity(), *(ReflAffine(U) for U in subspaces)), name)
+    def with_identity(cls, ops, name: str = "") -> "OperatorSet":
+        """The family {Id, T_1, ..., T_m} of the identity and the nodes ``ops``."""
+        return cls((Identity(), *ops), name)
 
     @classmethod
-    def prefix_words(cls, subspaces, name: str = "") -> "OperatorSet":
-        """The family {Id, R_U1, R_U2 R_U1, ..., R_Um ... R_U1} of the identity
-        and the reflector words over the first k subspaces, k = 1..m."""
-        subs = list(subspaces)
-        words = (reflector_word(subs, range(1, k + 1)) for k in range(1, len(subs) + 1))
-        return cls((Identity(), *words), name)
+    def prefix_words(cls, ops, name: str = "") -> "OperatorSet":
+        """The family {Id, T_1, T_2 T_1, ..., T_m ... T_1} of the identity and
+        the words over the first k nodes of ``ops``, k = 1..m: the one-letter
+        word is the bare node ``T_1``, a longer one the ``Compose`` of its
+        nodes reversed (``T_1`` acts first)."""
+        ops = tuple(ops)
+        return cls((Identity(), *(_word(ops[:k]) for k in range(1, len(ops) + 1))), name)
 
 
 @dataclass(frozen=True)
@@ -220,8 +222,7 @@ def demiclosedness_probe(
 
     ``limit`` defaults to the last element; pass the analytic limit when it is
     known.  The membership threshold is ``100 eq_tol (1 + |limit|)``; vanishing
-    is reported when the final residual drops below max(1e-6, 1/20 of the
-    first) -- a qualitative trend check, not a convergence proof.
+    is decided by :func:`residuals_vanish`.
     """
     seq = [as_vector(x) for x in sequence]
     if not seq:
@@ -236,8 +237,15 @@ def demiclosedness_probe(
     limit_residual = fixed_point_residual(S, limit, tol)
     threshold = 100.0 * tol.eq_tol * (1.0 + np.linalg.norm(limit))
     fixed = limit_residual is not None and limit_residual <= threshold
-    vanish = residuals[-1] <= max(1e-6, 0.05 * residuals[0])
-    return DemiclosednessReport(residuals, limit, limit_residual, fixed, vanish)
+    return DemiclosednessReport(residuals, limit, limit_residual, fixed,
+                                residuals_vanish(residuals))
+
+
+def residuals_vanish(residuals) -> bool:
+    """Whether the last of a nonempty list of fixed-point residuals is at
+    most max(1e-6, 1/20 of the first): a qualitative trend check, not a
+    convergence proof."""
+    return residuals[-1] <= max(1e-6, 0.05 * residuals[0])
 
 
 def relaxation(alpha: float, op: Operator) -> Operator:
@@ -250,9 +258,9 @@ def relaxation(alpha: float, op: Operator) -> Operator:
 def relaxed_set(subspaces, alpha: float, projectors: bool = False) -> OperatorSet:
     """Family {Id} + {(1-alpha) Id + alpha R_U} (or with projectors P_U)."""
     node = ProjAffine if projectors else ReflAffine
-    ops = (Identity(), *(relaxation(alpha, node(U)) for U in subspaces))
     kind = "P" if projectors else "R"
-    return OperatorSet(ops, name=f"relaxed-{kind}(alpha={alpha})")
+    return OperatorSet.with_identity((relaxation(alpha, node(U)) for U in subspaces),
+                                     f"relaxed-{kind}(alpha={alpha})")
 
 
 def affine_comb_identity_check(
@@ -265,7 +273,7 @@ def affine_comb_identity_check(
     unrelaxed reflector family (with ``a`` halved in the projector variant).
     """
     x = as_vector(x)
-    base = OperatorSet.reflectors(subspaces, "reflectors")
+    base = OperatorSet.with_identity(map(ReflAffine, subspaces), "reflectors")
     relaxed = relaxed_set(subspaces, alpha, projectors)
     got = cc_map(relaxed, x, tol)
     base_out = cc_map(base, x, tol)

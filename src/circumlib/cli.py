@@ -265,18 +265,23 @@ def cmd_trace(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 1."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circumlib",
         description="Circumcenter mappings and best-approximation solvers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def output(p):
         p.add_argument("--out", default=None, help="write the artifact to this path")
         p.add_argument("--format", choices=("csv", "json-lines"), default="csv")
-        p.add_argument("--seed", type=int, default=0, help="seed for random probes")
-        p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
 
     p_bench = sub.add_parser(
         "bench",
@@ -286,15 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="table1-line-plane, table2-plane-plane, or all")
     p_bench.add_argument("--x0", default=None,
                          help="override the start point, e.g. '0,0,0' (informational run)")
-    common(p_bench)
-    p_bench.set_defaults(fn=cmd_bench, max_iter=64)
+    p_bench.add_argument("--max-iter", type=int, default=64, dest="max_iter")
+    output(p_bench)
+    p_bench.set_defaults(fn=cmd_bench)
 
     p_verify = sub.add_parser("verify", help="verify gallery scenarios; exit 2 on any failure")
     p_verify.add_argument("--scenario", default=None, help="verify a single scenario by name")
     p_verify.add_argument("--self-test-corrupt", action="store_true",
                           dest="self_test_corrupt",
                           help="verify a deliberately corrupted scenario (must fail)")
-    common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for random probes")
+    output(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_cc = sub.add_parser(
@@ -303,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'#' comments); prints EXISTS <coords> radius <r> or NOT_EXISTS",
     )
     p_cc.add_argument("file")
-    common(p_cc)
     p_cc.set_defaults(fn=cmd_circumcenter)
 
     p_probe = sub.add_parser(
@@ -312,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--scenario", required=True)
     p_probe.add_argument("--grid", default="-5:5:41,-3:3:25",
                          help="xmin:xmax:nx,ymin:ymax:ny")
-    common(p_probe)
+    output(p_probe)
     p_probe.set_defaults(fn=cmd_probe)
 
     p_trace = sub.add_parser(
@@ -323,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--method", choices=tuple(METHODS), default="crm-s1")
     p_trace.add_argument("--epsilon", type=float, default=None,
                          help="stopping tolerance (default: calibrated)")
-    common(p_trace)
-    p_trace.set_defaults(fn=cmd_trace, max_iter=64)
+    p_trace.add_argument("--max-iter", type=int, default=64, dest="max_iter")
+    output(p_trace)
+    p_trace.set_defaults(fn=cmd_trace)
 
     return parser
 

@@ -25,6 +25,7 @@ from .circummap import (
     evaluate_set,
     gaussian_cloud,
     relaxation,
+    residuals_vanish,
 )
 from .geometry import DEFAULT_TOL, Tolerances, as_vector
 from .operators import (
@@ -202,7 +203,9 @@ def _build_catalog() -> list[Scenario]:
 
     # --- identity/reflector families with global closed forms
     U_line = AffineSubspace.span(np.array([1.0, 2.0]))
-    S_zero = OperatorSet.reflectors([U_line, U_line.orthogonal_complement()], "id-reflector-pair")
+    S_zero = OperatorSet.with_identity(
+        map(ReflAffine, (U_line, U_line.orthogonal_complement())), "id-reflector-pair"
+    )
     add(
         "reflectors-zero",
         2,
@@ -218,14 +221,9 @@ def _build_catalog() -> list[Scenario]:
     )
 
     U_half = AffineSubspace.span(np.array([3.0, 1.0]))
-    S_half = OperatorSet(
-        (
-            Identity(),
-            ProjAffine(U_half),
-            ProjAffine(U_half.orthogonal_complement()),
-            Constant(np.zeros(2)),
-        ),
-        name="projector-quadruple",
+    S_half = OperatorSet.with_identity(
+        (ProjAffine(U_half), ProjAffine(U_half.orthogonal_complement()), Constant(np.zeros(2))),
+        "projector-quadruple",
     )
     add(
         "projector-half",
@@ -257,7 +255,7 @@ def _build_catalog() -> list[Scenario]:
             probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0)
             + [np.array([0.0, 1.0]), np.array([2.0, 0.0]), np.array([3.0, -0.25])],
         ),
-        OperatorSet((Identity(), ReflAffine(Y_AXIS), T3), name="mirror-fold"),
+        OperatorSet.with_identity((ReflAffine(Y_AXIS), T3), "mirror-fold"),
     )
 
     def _const_pair_reference(x):
@@ -373,7 +371,7 @@ def _build_catalog() -> list[Scenario]:
     A2 = AffineSubspace.span(np.array([1.0, 1.0, 1.0]))
     A3 = AffineSubspace.hyperplane(np.array([1.0, -1.0, 0.0]), 0.0)
 
-    S_words = OperatorSet.reflectors([A1, A2, A3], "id-all-reflectors")
+    S_words = OperatorSet.with_identity(map(ReflAffine, (A1, A2, A3)), "id-all-reflectors")
     add(
         "reflector-words-m",
         3,
@@ -385,14 +383,9 @@ def _build_catalog() -> list[Scenario]:
         S_words,
     )
 
-    S_cycle = OperatorSet(
-        (
-            Identity(),
-            Compose((ReflAffine(A2), ReflAffine(A1))),
-            Compose((ReflAffine(A3), ReflAffine(A2))),
-            Compose((ReflAffine(A1), ReflAffine(A3))),
-        ),
-        name="cycle-words",
+    S_cycle = OperatorSet.with_identity(
+        (Compose((ReflAffine(V), ReflAffine(U))) for U, V in ((A1, A2), (A2, A3), (A3, A1))),
+        "cycle-words",
     )
     add(
         "reflector-cycle-words",
@@ -405,7 +398,7 @@ def _build_catalog() -> list[Scenario]:
         S_cycle,
     )
 
-    S_cdrm = OperatorSet.prefix_words([X_AXIS, DIAGONAL], "cdrm")
+    S_cdrm = OperatorSet.prefix_words(map(ReflAffine, (X_AXIS, DIAGONAL)), "cdrm")
     add(
         "cdrm-words",
         2,
@@ -423,7 +416,7 @@ def _build_catalog() -> list[Scenario]:
     B1 = AffineSubspace.from_spanning(z0, [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])])
     B2 = AffineSubspace.from_spanning(z0, [np.array([1.0, 1.0, 1.0])])
     B3 = AffineSubspace.hyperplane(np.array([0.0, 1.0, 1.0]), float(np.array([0.0, 1.0, 1.0]) @ z0))
-    S_prefix = OperatorSet.prefix_words([B1, B2, B3], "prefix-words")
+    S_prefix = OperatorSet.prefix_words(map(ReflAffine, (B1, B2, B3)), "prefix-words")
     add(
         "crm-prefix-words",
         3,
@@ -436,9 +429,8 @@ def _build_catalog() -> list[Scenario]:
         S_prefix,
     )
 
-    S_dr = OperatorSet(
-        (Identity(), Compose((ReflAffine(DIAGONAL), ReflAffine(X_AXIS)))), name="dr-pair"
-    )
+    S_dr = OperatorSet.with_identity((Compose((ReflAffine(DIAGONAL), ReflAffine(X_AXIS))),),
+                                     "dr-pair")
     add(
         "dr-midpoint",
         2,
@@ -452,7 +444,7 @@ def _build_catalog() -> list[Scenario]:
         S_dr,
     )
 
-    S_two = OperatorSet.reflectors([X_AXIS, DIAGONAL], "two-reflectors")
+    S_two = OperatorSet.with_identity(map(ReflAffine, (X_AXIS, DIAGONAL)), "two-reflectors")
     add(
         "two-reflectors-collapse",
         2,
@@ -469,14 +461,9 @@ def _build_catalog() -> list[Scenario]:
     )
 
     U_skew = AffineSubspace.span(np.array([2.0, 1.0]))
-    S_four = OperatorSet(
-        (
-            Identity(),
-            ReflAffine(X_AXIS),
-            ReflAffine(U_skew),
-            Compose((ReflAffine(U_skew), ReflAffine(X_AXIS))),
-        ),
-        name="four-words",
+    S_four = OperatorSet.with_identity(
+        (ReflAffine(X_AXIS), ReflAffine(U_skew), Compose((ReflAffine(U_skew), ReflAffine(X_AXIS)))),
+        "four-words",
     )
 
     def _four_reference(x):
@@ -507,11 +494,10 @@ def _build_catalog() -> list[Scenario]:
 
     # --- relaxation identities
     relax_subs = [X_AXIS, AffineSubspace.span(np.array([1.0, 3.0]))]
-    S_base_relax = OperatorSet.reflectors(relax_subs, "relax-base")
+    S_base_relax = OperatorSet.with_identity(map(ReflAffine, relax_subs), "relax-base")
     alpha0 = 2.0
-    S_relaxed = OperatorSet(
-        (Identity(), *[relaxation(alpha0, ReflAffine(U)) for U in relax_subs]),
-        name="relaxed-reflectors",
+    S_relaxed = OperatorSet.with_identity(
+        (relaxation(alpha0, ReflAffine(U)) for U in relax_subs), "relaxed-reflectors"
     )
     add(
         "relaxed-reflectors-identity",
@@ -530,10 +516,8 @@ def _build_catalog() -> list[Scenario]:
         AffineSubspace.hyperplane(np.array([1.0, 1.0, 1.0]), 0.0),
         AffineSubspace.span(np.array([0.0, 1.0, -1.0])),
     ]
-    S_base_proj = OperatorSet.reflectors(proj_subs, "projectors-base")
-    S_projectors = OperatorSet(
-        (Identity(), *[ProjAffine(U) for U in proj_subs]), name="id-all-projectors"
-    )
+    S_base_proj = OperatorSet.with_identity(map(ReflAffine, proj_subs), "projectors-base")
+    S_projectors = OperatorSet.with_identity(map(ProjAffine, proj_subs), "id-all-projectors")
     add(
         "projectors-all-proper",
         3,
@@ -549,7 +533,7 @@ def _build_catalog() -> list[Scenario]:
     T_dr = AffineComb(
         ((0.5, Identity()), (0.5, Compose((ReflAffine(DIAGONAL), ReflAffine(X_AXIS)))))
     )
-    S_powers = OperatorSet((Identity(), T_dr, Compose((T_dr, T_dr))), name="dr-powers")
+    S_powers = OperatorSet.prefix_words((T_dr, T_dr), "dr-powers")
     add(
         "dr-powers-proper",
         2,
@@ -580,13 +564,8 @@ def _build_catalog() -> list[Scenario]:
         ImpropernessIff(
             predicate=lambda a: a[0] != 0.0 and a[1] != 0.0 and a[1] != a[0],
             grid=[(a1, a2) for a1 in GRID for a2 in GRID],
-            build=lambda a: OperatorSet(
-                (
-                    Identity(),
-                    relaxation(a[0], ReflAffine(U_same)),
-                    relaxation(a[1], ReflAffine(U_same)),
-                ),
-                name=f"relaxed-same-line{a}",
+            build=lambda a: OperatorSet.with_identity(
+                (relaxation(ai, ReflAffine(U_same)) for ai in a), f"relaxed-same-line{a}"
             ),
             samples=_off_line_samples,
         ),
@@ -606,18 +585,8 @@ def _build_catalog() -> list[Scenario]:
         ImpropernessIff(
             predicate=_composed_pred,
             grid=[(a1, a2) for a1 in GRID for a2 in GRID],
-            build=lambda a: OperatorSet(
-                (
-                    Identity(),
-                    relaxation(a[0], ReflAffine(U_same)),
-                    Compose(
-                        (
-                            relaxation(a[1], ReflAffine(U_same)),
-                            relaxation(a[0], ReflAffine(U_same)),
-                        )
-                    ),
-                ),
-                name=f"relaxed-composed{a}",
+            build=lambda a: OperatorSet.prefix_words(
+                (relaxation(ai, ReflAffine(U_same)) for ai in a), f"relaxed-composed{a}"
             ),
             samples=_off_line_samples,
         ),
@@ -636,18 +605,8 @@ def _build_catalog() -> list[Scenario]:
         ImpropernessIff(
             predicate=_proj_comp_pred,
             grid=[(a1, a2) for a1 in GRID for a2 in GRID],
-            build=lambda a: OperatorSet(
-                (
-                    Identity(),
-                    relaxation(a[0], ProjAffine(U_same)),
-                    Compose(
-                        (
-                            relaxation(a[1], ProjAffine(U_same)),
-                            relaxation(a[0], ProjAffine(U_same)),
-                        )
-                    ),
-                ),
-                name=f"relaxed-proj-composed{a}",
+            build=lambda a: OperatorSet.prefix_words(
+                (relaxation(ai, ProjAffine(U_same)) for ai in a), f"relaxed-proj-composed{a}"
             ),
             samples=_off_line_samples,
         ),
@@ -656,7 +615,7 @@ def _build_catalog() -> list[Scenario]:
     # --- improper projector-word families
     U12 = AffineSubspace.span(np.array([1.0, 2.0]))
     PP = Compose((ProjAffine(U12), ProjAffine(X_AXIS)))
-    S_colinear = OperatorSet((Identity(), PP, Compose((PP, PP))), name="projector-colinear")
+    S_colinear = OperatorSet.prefix_words((PP, PP), "projector-colinear")
     add(
         "projector-colinear-escape",
         2,
@@ -679,14 +638,10 @@ def _build_catalog() -> list[Scenario]:
         S_colinear,
     )
 
-    S_noncolinear = OperatorSet(
-        (
-            Identity(),
-            ProjAffine(X_AXIS),
-            ProjAffine(DIAGONAL),
-            Compose((ProjAffine(DIAGONAL), ProjAffine(X_AXIS))),
-        ),
-        name="projector-noncolinear",
+    S_noncolinear = OperatorSet.with_identity(
+        (ProjAffine(X_AXIS), ProjAffine(DIAGONAL),
+         Compose((ProjAffine(DIAGONAL), ProjAffine(X_AXIS)))),
+        "projector-noncolinear",
     )
     escape_ray = np.array([4.0, 2.0])
     add(
@@ -715,8 +670,8 @@ def _build_catalog() -> list[Scenario]:
 
     # --- inconsistent pair: a point and a line that miss each other
     U_pt = AffineSubspace.point(np.array([2.0, 0.0]))
-    S1_inc = OperatorSet.reflectors([U_pt, Y_AXIS], "point-line-s1")
-    S2_inc = OperatorSet.prefix_words([U_pt, Y_AXIS], "point-line-s2")
+    S1_inc = OperatorSet.with_identity(map(ReflAffine, (U_pt, Y_AXIS)), "point-line-s1")
+    S2_inc = OperatorSet.prefix_words(map(ReflAffine, (U_pt, Y_AXIS)), "point-line-s2")
 
     def _inc_probes(seed):
         axis = [np.array([x, 0.0]) for x in (-3.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0)]
@@ -749,11 +704,9 @@ def _build_catalog() -> list[Scenario]:
     # --- nonnegative quadrant (box) against a vertical line
     quadrant = ProjBox(np.zeros(2), np.array([np.inf, np.inf]))
     vline = AffineSubspace.from_spanning(np.array([2.0, 0.0]), [E2])
-    R_quad = reflector_of(quadrant)
-    S1_cone = OperatorSet((Identity(), R_quad, ReflAffine(vline)), name="cone-line-s1")
-    S2_cone = OperatorSet(
-        (Identity(), R_quad, Compose((ReflAffine(vline), R_quad))), name="cone-line-s2"
-    )
+    cone_line = (reflector_of(quadrant), ReflAffine(vline))
+    S1_cone = OperatorSet.with_identity(cone_line, "cone-line-s1")
+    S2_cone = OperatorSet.prefix_words(cone_line, "cone-line-s2")
 
     def _cone_probes(seed):
         fixed = [
@@ -807,16 +760,9 @@ def _build_catalog() -> list[Scenario]:
 
     unit_ball = Ball(np.zeros(2), 1.0)
     line_x1 = AffineSubspace.from_spanning(np.array([1.0, 0.0]), [E2])
-    S1_bl = OperatorSet((Identity(), reflector_of(ProjBall(unit_ball)), ReflAffine(line_x1)),
-                        name="ball-line-s1")
-    S2_bl = OperatorSet(
-        (
-            Identity(),
-            reflector_of(ProjBall(unit_ball)),
-            Compose((ReflAffine(line_x1), reflector_of(ProjBall(unit_ball)))),
-        ),
-        name="ball-line-s2",
-    )
+    ball_line = (reflector_of(ProjBall(unit_ball)), ReflAffine(line_x1))
+    S1_bl = OperatorSet.with_identity(ball_line, "ball-line-s1")
+    S2_bl = OperatorSet.prefix_words(ball_line, "ball-line-s2")
     _axis_domain(
         "ball-line-s1",
         S1_bl,
@@ -832,16 +778,9 @@ def _build_catalog() -> list[Scenario]:
         "composed variant: x=-3 rejoins the domain",
     )
 
-    S1_blo = OperatorSet((Identity(), reflector_of(ProjBall(unit_ball)), ReflAffine(Y_AXIS)),
-                         name="ball-line-origin-s1")
-    S2_blo = OperatorSet(
-        (
-            Identity(),
-            reflector_of(ProjBall(unit_ball)),
-            Compose((ReflAffine(Y_AXIS), reflector_of(ProjBall(unit_ball)))),
-        ),
-        name="ball-line-origin-s2",
-    )
+    ball_line_origin = (reflector_of(ProjBall(unit_ball)), ReflAffine(Y_AXIS))
+    S1_blo = OperatorSet.with_identity(ball_line_origin, "ball-line-origin-s1")
+    S2_blo = OperatorSet.prefix_words(ball_line_origin, "ball-line-origin-s2")
     _axis_domain(
         "ball-line-origin-s1",
         S1_blo,
@@ -859,18 +798,9 @@ def _build_catalog() -> list[Scenario]:
 
     ball_l = Ball(np.array([-1.0, 0.0]), 1.0)
     ball_r = Ball(np.array([1.0, 0.0]), 1.0)
-    S1_bb = OperatorSet(
-        (Identity(), reflector_of(ProjBall(ball_l)), reflector_of(ProjBall(ball_r))),
-        name="ball-ball-s1",
-    )
-    S2_bb = OperatorSet(
-        (
-            Identity(),
-            reflector_of(ProjBall(ball_l)),
-            Compose((reflector_of(ProjBall(ball_r)), reflector_of(ProjBall(ball_l)))),
-        ),
-        name="ball-ball-s2",
-    )
+    ball_ball = [reflector_of(ProjBall(b)) for b in (ball_l, ball_r)]
+    S1_bb = OperatorSet.with_identity(ball_ball, "ball-ball-s1")
+    S2_bb = OperatorSet.prefix_words(ball_ball, "ball-ball-s2")
     _axis_domain(
         "ball-ball-s1",
         S1_bb,
@@ -890,18 +820,9 @@ def _build_catalog() -> list[Scenario]:
 
     ball_lw = Ball(np.array([-1.0, 0.0]), 2.0)
     ball_rw = Ball(np.array([1.0, 0.0]), 2.0)
-    S1_bbw = OperatorSet(
-        (Identity(), reflector_of(ProjBall(ball_lw)), reflector_of(ProjBall(ball_rw))),
-        name="ball-ball-wide-s1",
-    )
-    S2_bbw = OperatorSet(
-        (
-            Identity(),
-            reflector_of(ProjBall(ball_lw)),
-            Compose((reflector_of(ProjBall(ball_rw)), reflector_of(ProjBall(ball_lw)))),
-        ),
-        name="ball-ball-wide-s2",
-    )
+    ball_ball_wide = [reflector_of(ProjBall(b)) for b in (ball_lw, ball_rw)]
+    S1_bbw = OperatorSet.with_identity(ball_ball_wide, "ball-ball-wide-s1")
+    S2_bbw = OperatorSet.prefix_words(ball_ball_wide, "ball-ball-wide-s2")
     _axis_domain(
         "ball-ball-wide-s1",
         S1_bbw,
@@ -921,9 +842,7 @@ def _build_catalog() -> list[Scenario]:
     # --- nonconvex circles (sphere boundaries): the domain is a proper subset
     circle_l = ProjSphere(np.array([-1.0, 0.0]), 2.0)
     circle_r = ProjSphere(np.array([1.0, 0.0]), 2.0)
-    S_circles = OperatorSet(
-        (Identity(), reflector_of(circle_l), reflector_of(circle_r)), name="circles"
-    )
+    S_circles = OperatorSet.with_identity(map(reflector_of, (circle_l, circle_r)), "circles")
     add(
         "circles-nonconvex-probe",
         2,
@@ -951,13 +870,8 @@ def _build_catalog() -> list[Scenario]:
         ImpropernessIff(
             predicate=lambda a: a[0] != 0.0 and a[1] != 0.0 and a[0] != a[1],
             grid=[(a1, a2) for a1 in NONNEG_GRID for a2 in NONNEG_GRID],
-            build=lambda a: OperatorSet(
-                (
-                    Identity(),
-                    reflected_resolvent_scaled_id(a[0]),
-                    reflected_resolvent_scaled_id(a[1]),
-                ),
-                name=f"scaled-resolvents{a}",
+            build=lambda a: OperatorSet.with_identity(
+                map(reflected_resolvent_scaled_id, a), f"scaled-resolvents{a}"
             ),
             samples=_resolvent_samples,
         ),
@@ -971,18 +885,8 @@ def _build_catalog() -> list[Scenario]:
                 a[0] != 0.0 and a[0] != 1.0 and a[1] != 0.0 and a[0] != -a[1]
             ),
             grid=[(a1, a2) for a1 in NONNEG_GRID for a2 in NONNEG_GRID],
-            build=lambda a: OperatorSet(
-                (
-                    Identity(),
-                    reflected_resolvent_scaled_id(a[0]),
-                    Compose(
-                        (
-                            reflected_resolvent_scaled_id(a[1]),
-                            reflected_resolvent_scaled_id(a[0]),
-                        )
-                    ),
-                ),
-                name=f"scaled-resolvents-comp{a}",
+            build=lambda a: OperatorSet.prefix_words(
+                map(reflected_resolvent_scaled_id, a), f"scaled-resolvents-comp{a}"
             ),
             samples=_resolvent_samples,
         ),
@@ -998,13 +902,8 @@ def _build_catalog() -> list[Scenario]:
         ImpropernessIff(
             predicate=lambda a: a[0] != 0.0 and a[1] != 0.0 and a[0] != a[1],
             grid=[(a1, a2) for a1 in GRID for a2 in GRID],
-            build=lambda a: OperatorSet(
-                (
-                    Identity(),
-                    reflected_resolvent_const(np.array([a[0]])),
-                    reflected_resolvent_const(np.array([a[1]])),
-                ),
-                name=f"const-resolvents{a}",
+            build=lambda a: OperatorSet.with_identity(
+                (reflected_resolvent_const(np.array([ai])) for ai in a), f"const-resolvents{a}"
             ),
             samples=_const_samples,
         ),
@@ -1016,18 +915,9 @@ def _build_catalog() -> list[Scenario]:
         ImpropernessIff(
             predicate=lambda a: a[0] != 0.0 and a[1] != 0.0 and a[0] != -a[1],
             grid=[(a1, a2) for a1 in GRID for a2 in GRID],
-            build=lambda a: OperatorSet(
-                (
-                    Identity(),
-                    reflected_resolvent_const(np.array([a[0]])),
-                    Compose(
-                        (
-                            reflected_resolvent_const(np.array([a[1]])),
-                            reflected_resolvent_const(np.array([a[0]])),
-                        )
-                    ),
-                ),
-                name=f"const-resolvents-comp{a}",
+            build=lambda a: OperatorSet.prefix_words(
+                (reflected_resolvent_const(np.array([ai])) for ai in a),
+                f"const-resolvents-comp{a}",
             ),
             samples=_const_samples,
         ),
@@ -1047,14 +937,7 @@ def _build_catalog() -> list[Scenario]:
             + _line_points(U1_aff, [0.0, 2.0])
             + _line_points(U2_lin, [1.0, -1.0]),
         ),
-        OperatorSet(
-            (
-                Identity(),
-                ProjAffine(U1_aff),
-                Compose((ProjAffine(U2_lin), ProjAffine(U1_aff))),
-            ),
-            name="proj-comp-first",
-        ),
+        OperatorSet.prefix_words(map(ProjAffine, (U1_aff, U2_lin)), "proj-comp-first"),
     )
     add(
         "proj-comp-second-proper",
@@ -1065,13 +948,9 @@ def _build_catalog() -> list[Scenario]:
             probes=lambda seed: gaussian_cloud(2, 15, seed, 2.0)
             + _line_points(U1_aff, [0.0, 2.0]),
         ),
-        OperatorSet(
-            (
-                Identity(),
-                ProjAffine(U2_lin),
-                Compose((ProjAffine(U2_lin), ProjAffine(U1_aff))),
-            ),
-            name="proj-comp-second",
+        OperatorSet.with_identity(
+            (ProjAffine(U2_lin), Compose((ProjAffine(U2_lin), ProjAffine(U1_aff)))),
+            "proj-comp-second",
         ),
     )
 
@@ -1250,7 +1129,7 @@ def _verify_sequence(s: Scenario, kind: SequenceLimit, report: VerificationRepor
             dev = _rel_dev(center, want)
             report.record(dev, dev <= kind.check_tol, x, want, center)
     if kind.expect_vanishing is not None and residuals:
-        vanished = residuals[-1] <= max(1e-6, 0.05 * residuals[0])
+        vanished = residuals_vanish(residuals)
         report.record(
             residuals[-1],
             vanished == kind.expect_vanishing,

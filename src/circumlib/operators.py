@@ -18,6 +18,7 @@ from .geometry import (
     DEFAULT_TOL,
     DimensionMismatchError,
     Tolerances,
+    affine_hull_basis,
     as_vector,
     orthonormal_basis,
     orthonormal_complement,
@@ -120,9 +121,7 @@ class AffineSubspace:
     @staticmethod
     def from_points(points, tol: Tolerances = DEFAULT_TOL) -> "AffineSubspace":
         """Affine hull of a nonempty point family."""
-        pts = [as_vector(p) for p in points]
-        anchor = pts[0]
-        return AffineSubspace.from_spanning(anchor, [p - anchor for p in pts[1:]], tol)
+        return AffineSubspace(*affine_hull_basis(points, tol), tol)
 
     @staticmethod
     def hyperplane(normal, offset: float, tol: Tolerances = DEFAULT_TOL) -> "AffineSubspace":
@@ -211,9 +210,13 @@ class Operator:
 
 
 def _derive(node: Operator, children) -> None:
-    """Fix a compound node's ``dim`` (its first pinned child's) and ``affine``."""
-    dims = [op.dim for op in children if op.dim is not None]
-    object.__setattr__(node, "dim", dims[0] if dims else None)
+    """Fix a compound node's ``dim`` (the one its pinned children share) and
+    ``affine``; children pinning different dimensions are rejected."""
+    dims = {op.dim for op in children if op.dim is not None}
+    if len(dims) > 1:
+        raise DimensionMismatchError(
+            f"{type(node).__name__} mixes operators on R^n for n in {sorted(dims)}")
+    object.__setattr__(node, "dim", dims.pop() if dims else None)
     object.__setattr__(node, "affine", all(op.affine for op in children))
 
 
@@ -419,32 +422,36 @@ def reflector_of(proj: Operator) -> Operator:
     return AffineComb(((2.0, proj), (-1.0, Identity())))
 
 
-def _word(subspaces, indices, node) -> Operator:
+def _word(ops) -> Operator:
+    """The word over the nodes ``ops``, listed in application order: the
+    identity when empty, the bare node for one letter, else the ``Compose`` of
+    the nodes reversed (``Compose`` applies right-to-left)."""
+    if not ops:
+        return Identity()
+    return ops[0] if len(ops) == 1 else Compose(tuple(reversed(ops)))
+
+
+def _subspace_word(subspaces, indices, node) -> Operator:
     subs = list(subspaces)
     ops = []
     for i in indices:
         if not 1 <= i <= len(subs):
             raise IndexError(f"word index {i} out of range 1..{len(subs)}")
         ops.append(node(subs[i - 1]))
-    if not ops:
-        return Identity()
-    if len(ops) == 1:
-        return ops[0]
-    # indices list the application order; Compose applies right-to-left.
-    return Compose(tuple(reversed(ops)))
+    return _word(ops)
 
 
 def reflector_word(subspaces, indices) -> Operator:
     """Composition R_{U_{i_r}} ... R_{U_{i_1}} for 1-based ``indices``
     (applied first-to-last); the empty word is the identity and a one-letter
     word is the bare reflector node."""
-    return _word(subspaces, indices, ReflAffine)
+    return _subspace_word(subspaces, indices, ReflAffine)
 
 
 def projector_word(subspaces, indices) -> Operator:
     """Composition P_{U_{i_r}} ... P_{U_{i_1}}, same conventions as
     :func:`reflector_word`."""
-    return _word(subspaces, indices, ProjAffine)
+    return _subspace_word(subspaces, indices, ProjAffine)
 
 
 def reflected_resolvent_scaled_id(alpha: float) -> Operator:

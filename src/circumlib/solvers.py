@@ -40,6 +40,7 @@ from .operators import (
     AffineSubspace,
     Ball,
     EmptyIntersectionError,
+    ReflAffine,
     intersect_affine,
     project_ball,
 )
@@ -253,8 +254,8 @@ def table_geometry(name: str):
     else:
         raise KeyError(f"unknown table {name!r}; expected one of {TABLE_NAMES}")
     target = best_approximation([U1, U2], x0)
-    S1 = OperatorSet.reflectors([U1, U2], "s1")
-    S2 = OperatorSet.prefix_words([U1, U2], "s2")
+    S1 = OperatorSet.with_identity(map(ReflAffine, (U1, U2)), "s1")
+    S2 = OperatorSet.prefix_words(map(ReflAffine, (U1, U2)), "s2")
     return U1, U2, x0, target, S1, S2
 
 

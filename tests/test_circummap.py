@@ -13,21 +13,25 @@ from circumlib.circummap import (
     fixed_point_residual,
     gaussian_cloud,
     in_domain,
+    relaxation,
     relaxed_set,
     subspace_probes,
 )
 from circumlib.operators import (
     AffineComb,
     AffineSubspace,
+    Ball,
     Compose,
     Constant,
     Identity,
     ProjAffine,
+    ProjBall,
     ReflAffine,
     ScaledId,
     Translate,
     apply,
     intersect_affine,
+    reflector_of,
 )
 
 X_AXIS = AffineSubspace.span(np.array([1.0, 0.0]))
@@ -274,6 +278,62 @@ def test_cc_map_rows_equals_cc_map_across_stacked_families():
             assert np.isnan(center).all()
     assert not exists[7:9].any() and exists[9:].all()
     assert cc_map_rows([])[0].shape == (0,)
+
+
+# -- family constructors ----------------------------------------------------------
+
+
+def test_with_identity_puts_the_identity_before_the_nodes():
+    nodes = (ReflAffine(X_AXIS), ProjAffine(DIAG), ScaledId(2.0))
+    S = OperatorSet.with_identity(iter(nodes), "s1")
+    assert S.name == "s1" and len(S) == 4
+    assert type(S.ops[0]) is Identity
+    assert all(got is node for got, node in zip(S.ops[1:], nodes))
+
+
+def test_prefix_words_compose_the_first_k_nodes_reversed():
+    T1, T2, T3 = ReflAffine(X_AXIS), ProjAffine(DIAG), ScaledId(2.0)
+    S = OperatorSet.prefix_words(iter((T1, T2, T3)), "s2")
+    assert S.name == "s2" and len(S) == 4
+    assert type(S.ops[0]) is Identity
+    assert S.ops[1] is T1
+    for word, letters in zip(S.ops[2:], [(T2, T1), (T3, T2, T1)]):
+        assert type(word) is Compose and len(word.ops) == len(letters)
+        assert all(got is node for got, node in zip(word.ops, letters))
+    assert len(OperatorSet.prefix_words([])) == 1
+
+
+def _ball_reflectors():
+    return [reflector_of(ProjBall(Ball(np.array([c, 0.0]), 1.0))) for c in (-1.0, 1.0)]
+
+
+def _relaxed_line_reflectors():
+    return [relaxation(a, ReflAffine(X_AXIS)) for a in (0.5, 2.0)]
+
+
+@pytest.mark.parametrize("nodes", [_ball_reflectors, _relaxed_line_reflectors],
+                         ids=["ball-reflectors", "relaxed-reflectors"])
+def test_constructed_families_equal_the_hand_built_ones_bit_for_bit(nodes):
+    # The hand-built trees use fresh nodes for every occurrence, as a family
+    # spelled out literally does; the constructors share the given nodes.
+    T1, T2 = nodes()
+    H1, H2 = nodes()
+    G1, G2 = nodes()
+    G1_again = nodes()[0]
+    X = np.array(gaussian_cloud(2, 200, seed=16, scale=3.0)
+                 + [[x, 0.0] for x in (-4.0, -2.0, -0.5, 0.0, 1.0, 2.0, 3.0)])
+    outcomes = set()
+    for built, by_hand in [
+        (OperatorSet.with_identity((T1, T2)), OperatorSet((Identity(), H1, H2))),
+        (OperatorSet.prefix_words((T1, T2)),
+         OperatorSet((Identity(), G1, Compose((G2, G1_again))))),
+    ]:
+        exists, centers = cc_map_rows([(built, X)])
+        want_exists, want_centers = cc_map_rows([(by_hand, X)])
+        assert np.array_equal(exists, want_exists)
+        assert np.array_equal(centers, want_centers, equal_nan=True)
+        outcomes.update(exists.tolist())
+    assert outcomes == {True, False}
 
 
 def test_check_properness_reflector_family_clean():

@@ -294,7 +294,12 @@ def test_console_script_entry_point(tmp_path):
     ["verify", "--seed", "-1"],
     ["trace", "--scenario", "table2-plane-plane", "--epsilon", "-1"],
     ["trace", "--scenario", "table2-plane-plane", "--method", "crm-s2", "--epsilon", "nan"],
-], ids=["non-finite-point", "negative-seed", "negative-epsilon", "nan-epsilon"])
+    ["verify", "--bogus"],
+    ["probe", "--scenario", "ball-line-s1", "--seed", "3"],
+    ["trace", "--scenario", "table2-plane-plane", "--method", "nope"],
+    ["probe"],
+], ids=["non-finite-point", "negative-seed", "negative-epsilon", "nan-epsilon",
+        "unknown-option", "ignored-seed", "bad-method", "missing-scenario"])
 def test_bad_input_is_a_usage_error_not_a_traceback(tmp_path, argv):
     (tmp_path / "bad.txt").write_text("1,nan\n2,3\n")
     env = dict(os.environ, PYTHONPATH=str(Path(circumlib.__file__).resolve().parents[1]))
@@ -302,3 +307,4 @@ def test_bad_input_is_a_usage_error_not_a_traceback(tmp_path, argv):
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

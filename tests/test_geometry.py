@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from circumlib.geometry import (
     DEFAULT_TOL,
+    DimensionMismatchError,
     Tolerances,
     affine_hull_basis,
     orthonormal_basis,
     orthonormal_complement,
     rank,
 )
+from circumlib.operators import AffineSubspace
 
 
 def test_orthonormal_basis_collinear():
@@ -114,6 +116,24 @@ def test_affine_hull_collinear_points():
 def test_affine_hull_two_dimensional():
     _, basis = affine_hull_basis([[-2.0, 0.0], [2.0, 0.0], [1.5, 0.125]])
     assert len(basis) == 2
+
+
+@pytest.mark.parametrize("hull", [affine_hull_basis, AffineSubspace.from_points],
+                         ids=["affine_hull_basis", "from_points"])
+@pytest.mark.parametrize("points,error", [
+    ([[1.0, 2.0], [3.0]], DimensionMismatchError),
+    ([], ValueError),
+], ids=["mixed-dimensions", "empty"])
+def test_affine_hull_rejects_bad_point_families(hull, points, error):
+    with pytest.raises(error):
+        hull(points)
+
+
+def test_from_points_is_the_affine_hull():
+    pts = [[1.0, -1.0, 2.0], [3.0, 0.5, 2.0], [0.0, 2.0, -1.0]]
+    hull = AffineSubspace.from_points(pts)
+    anchor, basis = affine_hull_basis(pts)
+    assert np.array_equal(hull.anchor, anchor) and np.array_equal(hull.basis, np.array(basis))
 
 
 def test_orthonormal_complement_roundtrip():

@@ -184,6 +184,20 @@ def test_apply_dimension_mismatch(op, x):
         apply(op, x)
 
 
+LINE_IN_R3 = AffineSubspace.span(np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Compose((ProjAffine(X_AXIS), ProjAffine(LINE_IN_R3))),
+    lambda: Compose((Identity(), ReflAffine(X_AXIS), Translate(np.zeros(3)))),
+    lambda: AffineComb(((0.5, ProjAffine(X_AXIS)), (0.5, ProjAffine(LINE_IN_R3)))),
+    lambda: AffineComb(((2.0, ProjBall(Ball(np.zeros(3), 1.0))), (-1.0, ReflAffine(X_AXIS)))),
+], ids=["compose", "compose-free-child", "affine-comb", "affine-comb-ball"])
+def test_compound_node_rejects_children_of_different_dimensions(build):
+    with pytest.raises(DimensionMismatchError):
+        build()
+
+
 # -- words -------------------------------------------------------------------------
 
 
