@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    DEFAULT_TOL,
-    Tolerances,
-    affine_hull_basis,
-    as_vector,
-    orthonormal_basis,
-)
+from .geometry import DUP_TOL, EQ_TOL, RANK_TOL, affine_hull_basis, as_vector, orthonormal_basis
 
 __all__ = [
     "PointSet",
@@ -35,13 +29,13 @@ __all__ = [
 class PointSet:
     """Finite set of pairwise distinct points of R^n.
 
-    Construction merges points closer than ``dup_tol`` times the family scale,
+    Construction merges points closer than ``DUP_TOL`` times the family scale,
     keeping the first representative (set semantics: operator images that
     coincide count once).  The rule is the circumcenter kernel's own dedup
     step.
     """
 
-    def __init__(self, points, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, points):
         pts = [as_vector(p) for p in points]
         if not pts:
             raise ValueError("a point set must contain at least one point")
@@ -49,7 +43,7 @@ class PointSet:
         if len(dims) > 1:
             raise ValueError(f"mixed point dimensions: {sorted(dims)}")
         P = np.array(pts)
-        self.points = P[_dedup(P[..., None], tol)[0][:, 0]]
+        self.points = P[_dedup(P[..., None])[0][:, 0]]
 
     @property
     def dim(self) -> int:
@@ -89,7 +83,7 @@ class CircumcenterOutcome:
         return CircumcenterOutcome(True, as_vector(center), float(radius), tuple(basis_indices))
 
 
-def circumcenter(K: PointSet, tol: Tolerances = DEFAULT_TOL) -> CircumcenterOutcome:
+def circumcenter(K: PointSet) -> CircumcenterOutcome:
     """Circumcenter of ``K``: the N = 1 case of :func:`_exists_rows`, on the
     points that :class:`PointSet` kept, without deduplicating them again.
 
@@ -99,7 +93,7 @@ def circumcenter(K: PointSet, tol: Tolerances = DEFAULT_TOL) -> CircumcenterOutc
     P = K.points[..., None]
     # K is deduplicated already, so every point is kept.
     keep = np.ones((len(K), 1), dtype=bool)
-    exists, center, radius, _, pivots = _circumcenters(P, keep, _pair_distances(P), tol)
+    exists, center, radius, _, pivots = _circumcenters(P, keep, _pair_distances(P))
     indices = [int(i) for i in pivots[:, 0] if i >= 0]
     if not exists[0]:
         return CircumcenterOutcome.not_found(indices)
@@ -150,14 +144,14 @@ def _pair_distances(P):
     return _norms(P[later] - P[earlier])
 
 
-def _dedup(P, tol: Tolerances):
+def _dedup(P):
     """``(keep, dist)`` for the point sets ``P`` (m, n, N), stacked rows-last:
     ``keep`` (m, N) marks the points :class:`PointSet` keeps, and ``dist``
     holds the distances of the pairs of :func:`_pairs`.  A point is dropped
-    when it lies within ``dup_tol * max(|p|, 1)`` (the largest point norm of
+    when it lies within ``DUP_TOL * max(|p|, 1)`` (the largest point norm of
     its set) of an earlier kept point."""
     m, _, N = P.shape
-    dup_threshold = tol.dup_tol * np.maximum(_norms(P).max(axis=0), 1.0)
+    dup_threshold = DUP_TOL * np.maximum(_norms(P).max(axis=0), 1.0)
     dist = _pair_distances(P)
     close = dist <= dup_threshold
     keep = np.ones((m, N), dtype=bool)
@@ -168,7 +162,7 @@ def _dedup(P, tol: Tolerances):
     return keep, dist
 
 
-def _exists_rows(P, tol: Tolerances):
+def _exists_rows(P):
     """The circumcenter of every point set of ``P`` (m, n, N), stacked
     rows-last, as array operations over the trailing row axis, looping over
     points and pivot steps, not rows.
@@ -189,7 +183,7 @@ def _exists_rows(P, tol: Tolerances):
     Column-pivoted Gram-Schmidt with one reorthogonalization pass makes the
     only rank decision: each step takes the remaining difference with the
     largest residual norm (the lowest index on ties); a residual norm at most
-    ``rank_tol`` times the largest difference norm ends the row, and a
+    ``RANK_TOL`` times the largest difference norm ends the row, and a
     candidate whose reorthogonalized norm is at most that is dropped while
     the search goes on.  In pivot order ``R = D Q^T`` is lower triangular,
     and the candidate
@@ -197,14 +191,14 @@ def _exists_rows(P, tol: Tolerances):
         c = x_a + Q^T a,   R a = 1/2 (|d_1|^2, ..., |d_t|^2),
 
     found by forward substitution, exists when its distances to the kept
-    points deviate from their mean by at most ``eq_tol * (1 + radius)``.
+    points deviate from their mean by at most ``EQ_TOL * (1 + radius)``.
     Each row's answer depends on that row alone, so a batch row equals its
     own N = 1 call exactly.
     """
-    return _circumcenters(P, *_dedup(P, tol), tol)
+    return _circumcenters(P, *_dedup(P))
 
 
-def _circumcenters(P, keep, dist, tol: Tolerances):
+def _circumcenters(P, keep, dist):
     """:func:`_exists_rows` on the kept points ``keep`` (m, N) of ``P``,
     given the distances ``dist`` of the pairs of :func:`_pairs`."""
     m, _, N = P.shape
@@ -224,18 +218,18 @@ def _circumcenters(P, keep, dist, tol: Tolerances):
     if active.any():
         remaining = keep.copy()
         remaining[first, rows] = False
-        offset, steps = _pivot_search(P - x1, remaining, active, tol)
+        offset, steps = _pivot_search(P - x1, remaining, active)
         center = np.where(active, x1 + offset, center)
         pivots += steps
     dists = _norms(P - center)
     # Summed point by point, in order, like the compacted set's sum.
     radius = np.add.accumulate(dists * keep, axis=0)[-1] / card
     deviation = (np.abs(dists - radius) * keep).max(axis=0)
-    exists = (card <= 2) | (deviation <= tol.eq_tol * (1.0 + radius))
+    exists = (card <= 2) | (deviation <= EQ_TOL * (1.0 + radius))
     return exists, center, radius, card, np.array(pivots)
 
 
-def _pivot_search(D, remaining, active, tol: Tolerances):
+def _pivot_search(D, remaining, active):
     """The offset ``Q^T a`` of the candidate from the anchor, and each step's
     accepted point (-1 where there is none), for the differences ``D``
     (m, n, N) of the ``remaining`` (m, N) points on the ``active`` rows;
@@ -244,7 +238,7 @@ def _pivot_search(D, remaining, active, tol: Tolerances):
     rows = np.arange(N)
     D = D * remaining[:, None]
     norms = _norms(D)
-    threshold = tol.rank_tol * norms.max(axis=0)
+    threshold = RANK_TOL * norms.max(axis=0)
     residuals = D
     Q, a, steps = [], [], []
     for k in range(m - 1):
@@ -277,7 +271,7 @@ def _pivot_search(D, remaining, active, tol: Tolerances):
     return sum(aj * q for aj, q in zip(a, Q)), steps
 
 
-def circumcenter_three(x, y, z, tol: Tolerances = DEFAULT_TOL) -> CircumcenterOutcome:
+def circumcenter_three(x, y, z) -> CircumcenterOutcome:
     """Closed-form circumcenter of three pairwise distinct points.
 
     Exists exactly when the three points are affinely independent, in which
@@ -289,12 +283,12 @@ def circumcenter_three(x, y, z, tol: Tolerances = DEFAULT_TOL) -> CircumcenterOu
     x, y, z = as_vector(x), as_vector(y), as_vector(z)
     scale = max(np.linalg.norm(x), np.linalg.norm(y), np.linalg.norm(z), 1.0)
     if (
-        np.linalg.norm(x - y) <= tol.dup_tol * scale
-        or np.linalg.norm(x - z) <= tol.dup_tol * scale
-        or np.linalg.norm(y - z) <= tol.dup_tol * scale
+        np.linalg.norm(x - y) <= DUP_TOL * scale
+        or np.linalg.norm(x - z) <= DUP_TOL * scale
+        or np.linalg.norm(y - z) <= DUP_TOL * scale
     ):
         raise ValueError("points must be pairwise distinct")
-    if len(orthonormal_basis([y - x, z - x], tol)[0]) < 2:
+    if len(orthonormal_basis([y - x, z - x])[0]) < 2:
         return CircumcenterOutcome.not_found()
 
     a2 = np.dot(y - z, y - z)
@@ -309,19 +303,19 @@ def circumcenter_three(x, y, z, tol: Tolerances = DEFAULT_TOL) -> CircumcenterOu
     return CircumcenterOutcome.found(center, radius, (0, 1, 2))
 
 
-def circumcenter_oracle(K: PointSet, tol: Tolerances = DEFAULT_TOL) -> CircumcenterOutcome:
+def circumcenter_oracle(K: PointSet) -> CircumcenterOutcome:
     """Independent brute-force circumcenter check.
 
     Parametrizes ``p = anchor + B lambda`` over the affine hull, imposes every
     linear equidistance condition ``2 <p, x_j - x_1> = |x_j|^2 - |x_1|^2`` by
     least squares, and accepts only when every equation's residual is at most
-    ``eq_tol`` times the squared data scale.  Shares no solve path with
+    ``EQ_TOL`` times the squared data scale.  Shares no solve path with
     :func:`circumcenter` (SVD least squares vs a pivoted Gram-Schmidt factor).
     """
     pts = K.points
     if len(pts) == 1:
         return CircumcenterOutcome.found(pts[0], 0.0, (0,))
-    anchor, basis = affine_hull_basis(pts, tol)
+    anchor, basis = affine_hull_basis(pts)
     x1 = pts[0]
     rows = []
     rhs = []
@@ -339,7 +333,7 @@ def circumcenter_oracle(K: PointSet, tol: Tolerances = DEFAULT_TOL) -> Circumcen
 
     scale = 1.0 + max(np.linalg.norm(p) for p in pts)
     residuals = np.abs(A @ coeff - rhs) if len(rhs) else np.zeros(0)
-    if residuals.size and residuals.max() > tol.eq_tol * scale**2:
+    if residuals.size and residuals.max() > EQ_TOL * scale**2:
         return CircumcenterOutcome.not_found()
     dists = np.linalg.norm(pts - center, axis=1)
     return CircumcenterOutcome.found(center, float(dists.mean()), tuple(range(len(pts))))

@@ -16,8 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circumcenter import CircumcenterOutcome, PointSet, _exists_rows, circumcenter
-from .geometry import DEFAULT_TOL, Tolerances, as_vector
-from .operators import AffineComb, Identity, Operator, ProjAffine, ReflAffine, _word, apply
+from .geometry import EQ_TOL, as_vector
+from .operators import (
+    AffineComb,
+    Identity,
+    Operator,
+    ProjAffine,
+    ReflAffine,
+    _common_dim,
+    _word,
+    apply,
+)
 
 __all__ = [
     "OperatorSet",
@@ -43,7 +52,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """Ordered finite family of operators with an optional display name."""
+    """Ordered finite family of operators with an optional display name;
+    members pinning different dimensions are rejected, as by ``Compose``."""
 
     ops: tuple
     name: str = ""
@@ -52,6 +62,7 @@ class OperatorSet:
         ops = tuple(self.ops)
         if not ops:
             raise ValueError("an operator set must contain at least one operator")
+        _common_dim(self, ops)
         object.__setattr__(self, "ops", ops)
 
     def __len__(self) -> int:
@@ -110,22 +121,22 @@ class DemiclosednessReport:
     residuals_vanish: bool
 
 
-def evaluate_set(S: OperatorSet, x, tol: Tolerances = DEFAULT_TOL) -> PointSet:
+def evaluate_set(S: OperatorSet, x) -> PointSet:
     """Image set {T_1 x, ..., T_m x}, deduplicated."""
     x = as_vector(x)
-    return PointSet([apply(op, x) for op in S], tol)
+    return PointSet([apply(op, x) for op in S])
 
 
-def cc_map(S: OperatorSet, x, tol: Tolerances = DEFAULT_TOL) -> CircumcenterOutcome:
+def cc_map(S: OperatorSet, x) -> CircumcenterOutcome:
     """Circumcenter of the image set; nonexistence is a value, not an error."""
-    return circumcenter(evaluate_set(S, x, tol), tol)
+    return circumcenter(evaluate_set(S, x))
 
 
-def in_domain(S: OperatorSet, x, tol: Tolerances = DEFAULT_TOL) -> DomainDiagnosis:
+def in_domain(S: OperatorSet, x) -> DomainDiagnosis:
     """Pointwise domain membership with the cardinality/dependence breakdown."""
-    images = evaluate_set(S, x, tol)
+    images = evaluate_set(S, x)
     card = len(images)
-    outcome = circumcenter(images, tol)
+    outcome = circumcenter(images)
     independent = card <= 2 or len(outcome.basis_indices) == card
 
     witness = None
@@ -149,8 +160,8 @@ def _images(S: OperatorSet, X) -> np.ndarray:
     return images
 
 
-def cc_map_rows(pairs, tol: Tolerances = DEFAULT_TOL):
-    """``cc_map(S, x, tol)`` for every row ``x`` of every ``(S, X)`` in
+def cc_map_rows(pairs):
+    """``cc_map(S, x)`` for every row ``x`` of every ``(S, X)`` in
     ``pairs``, each ``X`` an (N_i, n) array, as ``(exists, centers)``: a
     boolean array and an array of centers, one row per input row in the order
     given.  Rows without a circumcenter have NaN centers.
@@ -172,21 +183,19 @@ def cc_map_rows(pairs, tol: Tolerances = DEFAULT_TOL):
     for m in np.unique(sizes):
         images = np.concatenate([_images(S, Xi) for S, Xi in pairs if len(S) == m], axis=2)
         rows = np.flatnonzero(sizes[owner] == m)
-        exists[rows], centers[:, rows] = _exists_rows(images, tol)[:2]
+        exists[rows], centers[:, rows] = _exists_rows(images)[:2]
     centers = centers.T
     centers[~exists] = np.nan
     return exists, centers
 
 
-def classify_points(S: OperatorSet, X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """``in_domain(S, x, tol).in_domain`` for every row ``x`` of ``X`` (N, n),
-    as a boolean array: the ``exists`` column of :func:`cc_map_rows`."""
-    return cc_map_rows([(S, X)], tol)[0]
+def classify_points(S: OperatorSet, X) -> np.ndarray:
+    """``in_domain(S, x).in_domain`` for every row ``x`` of ``X`` (N, n), as a
+    boolean array: the ``exists`` column of :func:`cc_map_rows`."""
+    return cc_map_rows([(S, X)])[0]
 
 
-def check_properness_sampled(
-    S: OperatorSet, points, tol: Tolerances = DEFAULT_TOL
-) -> PropernessReport:
+def check_properness_sampled(S: OperatorSet, points) -> PropernessReport:
     """Evaluate the mapping on every sample, listing nonexistence points.
 
     For families of exactly three operators each sample is also cross-checked
@@ -197,7 +206,7 @@ def check_properness_sampled(
     pts = [as_vector(x) for x in points]
     if not pts:
         return PropernessReport(checked=0)
-    exists, _, _, card, pivots = _exists_rows(_images(S, np.array(pts)), tol)
+    exists, _, _, card, pivots = _exists_rows(_images(S, np.array(pts)))
     report = PropernessReport(checked=len(pts))
     report.counterexamples = [pts[i] for i in np.flatnonzero(~exists)]
     if len(S) == 3:
@@ -206,22 +215,20 @@ def check_properness_sampled(
     return report
 
 
-def fixed_point_residual(S: OperatorSet, x, tol: Tolerances = DEFAULT_TOL) -> float | None:
+def fixed_point_residual(S: OperatorSet, x) -> float | None:
     """Distance ||x - CC_S(x)||, or None when the image has no circumcenter."""
     x = as_vector(x)
-    outcome = cc_map(S, x, tol)
+    outcome = cc_map(S, x)
     if not outcome.exists:
         return None
     return float(np.linalg.norm(x - outcome.center))
 
 
-def demiclosedness_probe(
-    S: OperatorSet, sequence, tol: Tolerances = DEFAULT_TOL, limit=None
-) -> DemiclosednessReport:
+def demiclosedness_probe(S: OperatorSet, sequence, limit=None) -> DemiclosednessReport:
     """Residuals along a sequence plus fixed-point membership of its limit.
 
     ``limit`` defaults to the last element; pass the analytic limit when it is
-    known.  The membership threshold is ``100 eq_tol (1 + |limit|)``; vanishing
+    known.  The membership threshold is ``100 EQ_TOL (1 + |limit|)``; vanishing
     is decided by :func:`residuals_vanish`.
     """
     seq = [as_vector(x) for x in sequence]
@@ -229,13 +236,13 @@ def demiclosedness_probe(
         raise ValueError("sequence must be nonempty")
     residuals = []
     for x in seq:
-        r = fixed_point_residual(S, x, tol)
+        r = fixed_point_residual(S, x)
         if r is None:
             raise ValueError("sequence leaves the domain of the mapping")
         residuals.append(r)
     limit = seq[-1] if limit is None else as_vector(limit)
-    limit_residual = fixed_point_residual(S, limit, tol)
-    threshold = 100.0 * tol.eq_tol * (1.0 + np.linalg.norm(limit))
+    limit_residual = fixed_point_residual(S, limit)
+    threshold = 100.0 * EQ_TOL * (1.0 + np.linalg.norm(limit))
     fixed = limit_residual is not None and limit_residual <= threshold
     return DemiclosednessReport(residuals, limit, limit_residual, fixed,
                                 residuals_vanish(residuals))
@@ -263,9 +270,7 @@ def relaxed_set(subspaces, alpha: float, projectors: bool = False) -> OperatorSe
                                      f"relaxed-{kind}(alpha={alpha})")
 
 
-def affine_comb_identity_check(
-    subspaces, alpha: float, x, tol: Tolerances = DEFAULT_TOL, projectors: bool = False
-):
+def affine_comb_identity_check(subspaces, alpha: float, x, projectors: bool = False):
     """Evaluate the relaxation identity for {Id, (1-a)Id + a R_{U_i}}.
 
     Returns ``(got, predicted)`` where ``got`` is the circumcenter of the
@@ -275,8 +280,8 @@ def affine_comb_identity_check(
     x = as_vector(x)
     base = OperatorSet.with_identity(map(ReflAffine, subspaces), "reflectors")
     relaxed = relaxed_set(subspaces, alpha, projectors)
-    got = cc_map(relaxed, x, tol)
-    base_out = cc_map(base, x, tol)
+    got = cc_map(relaxed, x)
+    base_out = cc_map(base, x)
     if not base_out.exists:
         raise ValueError("reflector family has no circumcenter at x; cannot form prediction")
     eff = alpha / 2.0 if projectors else alpha

@@ -29,7 +29,6 @@ from .gallery import (
     verify,
     verify_scenario,
 )
-from .geometry import DEFAULT_TOL
 from .solvers import (
     METHODS,
     REFERENCE_COUNTS,
@@ -128,8 +127,7 @@ def cmd_verify(args) -> int:
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     if args.self_test_corrupt:
-        report = verify_scenario(_corrupted_scenario(), args.seed, DEFAULT_TOL)
-        reports = [report]
+        reports = [verify_scenario(_corrupted_scenario(), args.seed)]
     elif args.scenario:
         try:
             reports = [verify(args.scenario, seed=args.seed)]
@@ -251,7 +249,7 @@ def cmd_trace(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    trace = METHODS[args.method](geo, x0, rule, DEFAULT_TOL)
+    trace = METHODS[args.method](geo, x0, rule)
 
     dim = len(x0)
     header = ["k"] + [f"x{i}" for i in range(dim)] + ["residual"]

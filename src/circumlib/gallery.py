@@ -27,7 +27,7 @@ from .circummap import (
     relaxation,
     residuals_vanish,
 )
-from .geometry import DEFAULT_TOL, Tolerances, as_vector
+from .geometry import as_vector
 from .operators import (
     AffineComb,
     AffineSubspace,
@@ -75,6 +75,10 @@ class ScenarioNotFoundError(KeyError):
 
 # -- expectation kinds ---------------------------------------------------------
 
+SEQUENCE_CHECK_TOL = 1e-9  # largest relative deviation of a SequenceLimit center
+LIMIT_RESIDUAL_TOL = 1e-6  # largest deviation of a SequenceLimit limit residual
+FIXED_POINT_SEPARATION = 1e-3  # smallest residual of a FixedPointSpec not-fixed probe
+
 
 @dataclass
 class ClosedFormMap:
@@ -108,16 +112,16 @@ class ImpropernessIff:
 @dataclass
 class SequenceLimit:
     """A sequence with known mapping values and a known (possibly
-    discontinuous) limit behaviour.  Fields left as None are not checked."""
+    discontinuous) limit behaviour.  Fields left as None are not checked;
+    centers are checked to :data:`SEQUENCE_CHECK_TOL` and the limit residual
+    to :data:`LIMIT_RESIDUAL_TOL`."""
 
     points: list
     cc_values: object = None
     limit: np.ndarray | None = None
     limit_residual: float | None = None
-    residual_tol: float = 1e-6
     map_at_limit: np.ndarray | None = None
     expect_vanishing: bool | None = None
-    check_tol: float = 1e-9
 
 
 @dataclass
@@ -129,13 +133,13 @@ class IterationCounts:
 
 @dataclass
 class FixedPointSpec:
-    """Points that must be fixed, probes that must not be, and probes where
-    the mapping must at least exist."""
+    """Points that must be fixed, probes that must not be (their residuals
+    exceed :data:`FIXED_POINT_SEPARATION`), and probes where the mapping must
+    at least exist."""
 
     fixed: list
     not_fixed: object
     proper_probes: object = None
-    separation: float = 1e-3
 
 
 @dataclass
@@ -178,14 +182,14 @@ def _line_points(U: AffineSubspace, coeffs):
     return [U.anchor + float(c) * U.basis[0] for c in coeffs]
 
 
-def _hull_projection_reference(S: OperatorSet, subspaces, tol: Tolerances):
+def _hull_projection_reference(S: OperatorSet, subspaces):
     """Reference value P_{aff(S(x))}(P_{cap U_i} x) for identity-containing
     reflector-word families; an independent path from the Gram solve."""
-    meet = intersect_affine(subspaces, tol)
+    meet = intersect_affine(subspaces)
 
     def ref(x):
         z = meet.project(x)
-        hull = AffineSubspace.from_points(list(evaluate_set(S, x, tol)), tol)
+        hull = AffineSubspace.from_points(list(evaluate_set(S, x)))
         return hull.project(z)
 
     return ref
@@ -195,7 +199,6 @@ def _hull_projection_reference(S: OperatorSet, subspaces, tol: Tolerances):
 
 
 def _build_catalog() -> list[Scenario]:
-    tol = DEFAULT_TOL
     scenarios: list[Scenario] = []
 
     def add(name, dim, description, expected, operator_set=None):
@@ -377,7 +380,7 @@ def _build_catalog() -> list[Scenario]:
         3,
         "identity with one reflector per subspace",
         ClosedFormMap(
-            reference=_hull_projection_reference(S_words, [A1, A2, A3], tol),
+            reference=_hull_projection_reference(S_words, [A1, A2, A3]),
             probes=lambda seed: gaussian_cloud(3, 12, seed, 2.0),
         ),
         S_words,
@@ -392,7 +395,7 @@ def _build_catalog() -> list[Scenario]:
         3,
         "identity with the three cyclic two-letter reflector words",
         ClosedFormMap(
-            reference=_hull_projection_reference(S_cycle, [A1, A2, A3], tol),
+            reference=_hull_projection_reference(S_cycle, [A1, A2, A3]),
             probes=lambda seed: gaussian_cloud(3, 10, seed, 2.0),
         ),
         S_cycle,
@@ -404,7 +407,7 @@ def _build_catalog() -> list[Scenario]:
         2,
         "identity, one reflector, and the two-letter word over two lines",
         ClosedFormMap(
-            reference=_hull_projection_reference(S_cdrm, [X_AXIS, DIAGONAL], tol),
+            reference=_hull_projection_reference(S_cdrm, [X_AXIS, DIAGONAL]),
             probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0)
             + _line_points(X_AXIS, [1.0, -2.0]),
         ),
@@ -423,7 +426,7 @@ def _build_catalog() -> list[Scenario]:
         "identity with the nested prefix words over three affine subspaces "
         "through a common off-origin point",
         ClosedFormMap(
-            reference=_hull_projection_reference(S_prefix, [B1, B2, B3], tol),
+            reference=_hull_projection_reference(S_prefix, [B1, B2, B3]),
             probes=lambda seed: gaussian_cloud(3, 10, seed, 2.0),
         ),
         S_prefix,
@@ -466,16 +469,17 @@ def _build_catalog() -> list[Scenario]:
         "four-words",
     )
 
+    four_hull_reference = _hull_projection_reference(S_four, [X_AXIS, U_skew])
+
     def _four_reference(x):
-        images = evaluate_set(S_four, x, tol)
-        pts = list(images)
+        pts = list(evaluate_set(S_four, x))
         if len(pts) == 1:
             return pts[0]
         if len(pts) == 2:
             return 0.5 * (pts[0] + pts[1])
         if len(pts) == 3:
-            return circumcenter_three(*pts, tol).center
-        return _hull_projection_reference(S_four, [X_AXIS, U_skew], tol)(x)
+            return circumcenter_three(*pts).center
+        return four_hull_reference(x)
 
     add(
         "four-word-cases",
@@ -504,7 +508,7 @@ def _build_catalog() -> list[Scenario]:
         2,
         "relaxed reflectors: the mapping equals alpha*CC(x) + (1-alpha)*x",
         ClosedFormMap(
-            reference=lambda x: alpha0 * cc_map(S_base_relax, x, tol).center
+            reference=lambda x: alpha0 * cc_map(S_base_relax, x).center
             + (1.0 - alpha0) * as_vector(x),
             probes=lambda seed: gaussian_cloud(2, 10, seed, 2.0),
         ),
@@ -524,7 +528,7 @@ def _build_catalog() -> list[Scenario]:
         "identity with one projector per subspace equals the half relaxation "
         "of the reflector mapping",
         ClosedFormMap(
-            reference=lambda x: 0.5 * cc_map(S_base_proj, x, tol).center + 0.5 * as_vector(x),
+            reference=lambda x: 0.5 * cc_map(S_base_proj, x).center + 0.5 * as_vector(x),
             probes=lambda seed: gaussian_cloud(3, 10, seed, 2.0),
         ),
         S_projectors,
@@ -1037,30 +1041,28 @@ def _rows(points, dim: int) -> np.ndarray:
     return np.reshape(points, (len(points), dim))
 
 
-def _centers(S: OperatorSet, points, dim: int, tol: Tolerances) -> list:
-    """``cc_map(S, x, tol).center`` for every point, None where no
-    circumcenter exists, from one :func:`cc_map_rows` call."""
-    exists, centers = cc_map_rows([(S, _rows(points, dim))], tol)
+def _centers(S: OperatorSet, points, dim: int) -> list:
+    """``cc_map(S, x).center`` for every point, None where no circumcenter
+    exists, from one :func:`cc_map_rows` call."""
+    exists, centers = cc_map_rows([(S, _rows(points, dim))])
     return [c if ok else None for ok, c in zip(exists.tolist(), centers)]
 
 
-def verify(name: str, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
+def verify(name: str, seed: int = 0) -> VerificationReport:
     """Replay one scenario's expectation; every deviation becomes a failure."""
-    return verify_scenario(scenario(name), seed, tol)
+    return verify_scenario(scenario(name), seed)
 
 
-def verify_all(seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> list[VerificationReport]:
-    return [verify_scenario(s, seed, tol) for s in catalog()]
+def verify_all(seed: int = 0) -> list[VerificationReport]:
+    return [verify_scenario(s, seed) for s in catalog()]
 
 
-def verify_scenario(
-    s: Scenario, seed: int = 0, tol: Tolerances = DEFAULT_TOL
-) -> VerificationReport:
+def verify_scenario(s: Scenario, seed: int = 0) -> VerificationReport:
     report = VerificationReport(scenario=s.name)
     kind = s.expected
     if isinstance(kind, ClosedFormMap):
         probes = kind.probes(seed)
-        for x, center in zip(probes, _centers(s.operator_set, probes, s.dim, tol)):
+        for x, center in zip(probes, _centers(s.operator_set, probes, s.dim)):
             want = kind.reference(x)
             if want is None:
                 report.record(float(center is not None), center is None, x, None, center)
@@ -1072,21 +1074,21 @@ def verify_scenario(
     elif isinstance(kind, DomainSpec):
         probes = kind.probes(seed)
         X = _rows(probes, s.dim)
-        for x, got in zip(probes, classify_points(s.operator_set, X, tol).tolist()):
+        for x, got in zip(probes, classify_points(s.operator_set, X).tolist()):
             want = bool(kind.member(x))
             report.record(float(want != got), want == got, x, want, got)
     elif isinstance(kind, ImpropernessIff):
         # Every family of the grid in one kernel call, split back per family.
         families = [(kind.build(params), _rows(kind.samples(params, seed), s.dim))
                     for params in kind.grid]
-        inside, _ = cc_map_rows(families, tol)
+        inside, _ = cc_map_rows(families)
         stops = np.cumsum([len(X) for _, X in families], dtype=int)
         for params, rows in zip(kind.grid, np.split(inside, stops[:-1])):
             improper = not rows.all()
             want = bool(kind.predicate(params))
             report.record(float(want != improper), want == improper, params, want, improper)
     elif isinstance(kind, SequenceLimit):
-        _verify_sequence(s, kind, report, tol)
+        _verify_sequence(s, kind, report)
     elif isinstance(kind, IterationCounts):
         result = run_benchmark(kind.table)
         for method, want in REFERENCE_COUNTS[kind.table].items():
@@ -1098,26 +1100,26 @@ def verify_scenario(
         fixed = list(kind.fixed)
         probes = fixed + list(kind.not_fixed(seed))
         residuals = [None if c is None else float(np.linalg.norm(x - c))
-                     for x, c in zip(probes, _centers(s.operator_set, probes, s.dim, tol))]
+                     for x, c in zip(probes, _centers(s.operator_set, probes, s.dim))]
         for x, r in zip(fixed, residuals):
             ok = r is not None and r <= 1e-9 * (1.0 + np.linalg.norm(x))
             report.record(r if r is not None else float("inf"), ok, x, 0.0, r)
         for x, r in zip(probes[len(fixed):], residuals[len(fixed):]):
-            ok = r is not None and r > kind.separation
-            report.record(0.0 if ok else 1.0, ok, x, f"> {kind.separation}", r)
+            ok = r is not None and r > FIXED_POINT_SEPARATION
+            report.record(0.0 if ok else 1.0, ok, x, f"> {FIXED_POINT_SEPARATION}", r)
         if kind.proper_probes is not None:
             probes = kind.proper_probes(seed)
             X = _rows(probes, s.dim)
-            for x, ok in zip(probes, classify_points(s.operator_set, X, tol).tolist()):
+            for x, ok in zip(probes, classify_points(s.operator_set, X).tolist()):
                 report.record(0.0 if ok else 1.0, ok, x, "exists", ok)
     else:
         raise TypeError(f"unknown expectation kind {type(kind).__name__}")
     return report
 
 
-def _verify_sequence(s: Scenario, kind: SequenceLimit, report: VerificationReport, tol):
+def _verify_sequence(s: Scenario, kind: SequenceLimit, report: VerificationReport):
     limit = [] if kind.limit is None else [kind.limit]
-    centers = _centers(s.operator_set, list(kind.points) + limit, s.dim, tol)
+    centers = _centers(s.operator_set, list(kind.points) + limit, s.dim)
     residuals = []
     for x, center in zip(kind.points, centers):
         if center is None:
@@ -1127,7 +1129,7 @@ def _verify_sequence(s: Scenario, kind: SequenceLimit, report: VerificationRepor
         if kind.cc_values is not None:
             want = kind.cc_values(x)
             dev = _rel_dev(center, want)
-            report.record(dev, dev <= kind.check_tol, x, want, center)
+            report.record(dev, dev <= SEQUENCE_CHECK_TOL, x, want, center)
     if kind.expect_vanishing is not None and residuals:
         vanished = residuals_vanish(residuals)
         report.record(
@@ -1144,12 +1146,12 @@ def _verify_sequence(s: Scenario, kind: SequenceLimit, report: VerificationRepor
                 report.record(1.0, False, kind.limit, kind.map_at_limit, None)
             else:
                 dev = _rel_dev(center, kind.map_at_limit)
-                report.record(dev, dev <= kind.check_tol, kind.limit, kind.map_at_limit,
+                report.record(dev, dev <= SEQUENCE_CHECK_TOL, kind.limit, kind.map_at_limit,
                               center)
         if kind.limit_residual is not None:
             got = None if center is None else float(np.linalg.norm(kind.limit - center))
             dev = float("inf") if got is None else abs(got - kind.limit_residual)
-            report.record(dev, dev <= kind.residual_tol, "limit-residual",
+            report.record(dev, dev <= LIMIT_RESIDUAL_TOL, "limit-residual",
                           kind.limit_residual, got)
 
 
@@ -1177,13 +1179,12 @@ class ProbeGrid:
         return list(self.coordinates())
 
 
-def domain_probe(S: OperatorSet, grid: ProbeGrid, tol: Tolerances = DEFAULT_TOL,
-                 member=None):
+def domain_probe(S: OperatorSet, grid: ProbeGrid, member=None):
     """Classify every grid point; returns (rows, agreement) where rows are
     (x, y, in_domain) and agreement is the match rate against ``member``
     (None when no reference predicate is given)."""
     X = grid.coordinates()
-    inside = classify_points(S, X, tol).tolist()
+    inside = classify_points(S, X).tolist()
     rows = list(zip(X[:, 0].tolist(), X[:, 1].tolist(), inside))
     agreement = None
     if member is not None and inside:

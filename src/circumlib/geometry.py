@@ -1,21 +1,22 @@
 """Small dense linear algebra: rank-revealing orthogonalization, orthogonal
-complements, affine-hull bases.
+complements, affine-hull bases, and the three thresholds that decide whether
+a circumcenter exists.
 
 Everything in this module is sized for tiny problems (dimensions and family
-sizes in the single digits), so the implementations favour determinism and
-explicit tolerance control over asymptotic speed.  All tolerances are relative
-to the scale of the data they are applied to.
+sizes in the single digits), so the implementations favour determinism over
+asymptotic speed.  The thresholds :data:`RANK_TOL`, :data:`EQ_TOL` and
+:data:`DUP_TOL` are module constants read where they are applied, never
+parameters; each is relative to the scale of the data it is applied to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
+    "RANK_TOL",
+    "EQ_TOL",
+    "DUP_TOL",
     "DimensionMismatchError",
     "as_vector",
     "orthonormal_basis",
@@ -29,29 +30,9 @@ class DimensionMismatchError(ValueError):
     """Vectors of different ambient dimensions were mixed."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative tolerances shared across the library.
-
-    rank_tol : threshold for accepting a direction as independent, relative to
-        the largest norm in the active vector family.
-    eq_tol : threshold for equidistance / residual verification, relative to
-        the data scale.
-    dup_tol : threshold under which two points are merged as duplicates.
-    """
-
-    rank_tol: float = 1e-10
-    eq_tol: float = 1e-9
-    dup_tol: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("rank_tol", "eq_tol", "dup_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
-
-
-DEFAULT_TOL = Tolerances()
+RANK_TOL = 1e-10  # a direction is independent above this times its family's largest norm
+EQ_TOL = 1e-9  # equidistance / residual verification, relative to the data scale
+DUP_TOL = 1e-12  # two points closer than this, relative to their scale, are merged
 
 
 def as_vector(x) -> np.ndarray:
@@ -73,14 +54,14 @@ def _check_same_dim(vectors) -> int:
     return dims.pop()
 
 
-def orthonormal_basis(vectors, tol: Tolerances = DEFAULT_TOL, scale: float | None = None):
+def orthonormal_basis(vectors, scale: float | None = None):
     """Column-pivoted Gram-Schmidt with one reorthogonalization pass.
 
     Returns ``(basis, pivots)`` where ``basis`` is an orthonormal list spanning
-    the input family (up to ``tol.rank_tol``) and ``pivots`` indexes a maximal
+    the input family (up to :data:`RANK_TOL`) and ``pivots`` indexes a maximal
     linearly independent subfamily of the inputs.  At every step the remaining
     vector with the largest residual norm is selected (ties break to the lowest
-    index); a candidate whose residual norm is at most ``rank_tol`` times the
+    index); a candidate whose residual norm is at most ``RANK_TOL`` times the
     largest input norm is rejected together with everything after it.  Pass an
     explicit ``scale`` when the inputs are residuals of a larger computation
     whose scale should govern the rank decision.
@@ -93,7 +74,7 @@ def orthonormal_basis(vectors, tol: Tolerances = DEFAULT_TOL, scale: float | Non
         scale = max(np.linalg.norm(v) for v in vecs)
     if scale == 0.0:
         return [], []
-    threshold = tol.rank_tol * scale
+    threshold = RANK_TOL * scale
 
     residuals = [v.copy() for v in vecs]
     remaining = list(range(len(vecs)))
@@ -120,15 +101,15 @@ def orthonormal_basis(vectors, tol: Tolerances = DEFAULT_TOL, scale: float | Non
     return basis, pivots
 
 
-def rank(vectors, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank of the family under ``tol.rank_tol``."""
-    basis, _ = orthonormal_basis(vectors, tol)
+def rank(vectors) -> int:
+    """Numerical rank of the family under :data:`RANK_TOL`."""
+    basis, _ = orthonormal_basis(vectors)
     return len(basis)
 
 
-def orthonormal_complement(vectors, dim: int, tol: Tolerances = DEFAULT_TOL):
+def orthonormal_complement(vectors, dim: int):
     """Orthonormal basis of the orthogonal complement of span(vectors) in R^dim."""
-    basis, _ = orthonormal_basis(vectors, tol)
+    basis, _ = orthonormal_basis(vectors)
     if not basis:
         return [np.eye(dim)[i] for i in range(dim)]
     Q = np.array(basis)
@@ -137,13 +118,13 @@ def orthonormal_complement(vectors, dim: int, tol: Tolerances = DEFAULT_TOL):
         r = e - Q.T @ (Q @ e)
         r = r - Q.T @ (Q @ r)
         residuals.append(r)
-    comp, _ = orthonormal_basis(residuals, tol, scale=1.0)
+    comp, _ = orthonormal_basis(residuals, scale=1.0)
     if len(comp) != dim - len(basis):
         raise np.linalg.LinAlgError("complement rank disagrees with span rank")
     return comp
 
 
-def affine_hull_basis(points, tol: Tolerances = DEFAULT_TOL):
+def affine_hull_basis(points):
     """Anchor plus orthonormal direction basis of the affine hull of ``points``.
 
     The hull of ``{p_1, ..., p_m}`` is ``p_1 + span{p_2 - p_1, ...}``; the
@@ -155,5 +136,5 @@ def affine_hull_basis(points, tol: Tolerances = DEFAULT_TOL):
     _check_same_dim(pts)
     anchor = pts[0]
     diffs = [p - anchor for p in pts[1:]]
-    basis, _ = orthonormal_basis(diffs, tol)
+    basis, _ = orthonormal_basis(diffs)
     return anchor, basis

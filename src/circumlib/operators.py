@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    DEFAULT_TOL,
+    EQ_TOL,
     DimensionMismatchError,
-    Tolerances,
     affine_hull_basis,
     as_vector,
     orthonormal_basis,
@@ -79,7 +78,7 @@ class AffineSubspace:
     of n rows is the whole space.
     """
 
-    def __init__(self, anchor, basis=(), tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, anchor, basis=()):
         self.anchor = as_vector(anchor)
         rows = [as_vector(b) for b in basis]
         for b in rows:
@@ -91,22 +90,21 @@ class AffineSubspace:
             if not np.allclose(G, np.eye(len(rows)), atol=1e-12):
                 raise ValueError("basis must be orthonormal to 1e-12; use from_spanning()")
         self.basis = B
-        self._tol = tol
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def from_spanning(anchor, directions, tol: Tolerances = DEFAULT_TOL) -> "AffineSubspace":
+    def from_spanning(anchor, directions) -> "AffineSubspace":
         """Subspace through ``anchor`` spanned by arbitrary ``directions``."""
-        basis, _ = orthonormal_basis([as_vector(d) for d in directions], tol)
-        return AffineSubspace(anchor, basis, tol)
+        basis, _ = orthonormal_basis([as_vector(d) for d in directions])
+        return AffineSubspace(anchor, basis)
 
     @staticmethod
-    def span(*directions, tol: Tolerances = DEFAULT_TOL) -> "AffineSubspace":
+    def span(*directions) -> "AffineSubspace":
         """Linear subspace through the origin spanned by ``directions``."""
         dirs = [as_vector(d) for d in directions]
         if not dirs:
             raise ValueError("span() needs at least one direction")
-        return AffineSubspace.from_spanning(np.zeros(len(dirs[0])), dirs, tol)
+        return AffineSubspace.from_spanning(np.zeros(len(dirs[0])), dirs)
 
     @staticmethod
     def point(p) -> "AffineSubspace":
@@ -119,20 +117,20 @@ class AffineSubspace:
         return AffineSubspace(np.zeros(dim), np.eye(dim))
 
     @staticmethod
-    def from_points(points, tol: Tolerances = DEFAULT_TOL) -> "AffineSubspace":
+    def from_points(points) -> "AffineSubspace":
         """Affine hull of a nonempty point family."""
-        return AffineSubspace(*affine_hull_basis(points, tol), tol)
+        return AffineSubspace(*affine_hull_basis(points))
 
     @staticmethod
-    def hyperplane(normal, offset: float, tol: Tolerances = DEFAULT_TOL) -> "AffineSubspace":
+    def hyperplane(normal, offset: float) -> "AffineSubspace":
         """Solution set of ``<normal, x> = offset``."""
         n = as_vector(normal)
         nn = np.dot(n, n)
         if nn == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
         anchor = n * (offset / nn)
-        basis = orthonormal_complement([n], len(n), tol)
-        return AffineSubspace(anchor, basis, tol)
+        basis = orthonormal_complement([n], len(n))
+        return AffineSubspace(anchor, basis)
 
     # -- geometry ------------------------------------------------------------
     @property
@@ -156,18 +154,18 @@ class AffineSubspace:
         x = _as_points(x)
         return 2.0 * self.project(x) - x
 
-    def contains(self, x, tol: Tolerances = DEFAULT_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x)
         scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(self.anchor)
-        return bool(np.linalg.norm(x - self.project(x)) <= tol.eq_tol * scale)
+        return bool(np.linalg.norm(x - self.project(x)) <= EQ_TOL * scale)
 
-    def orthogonal_complement(self, tol: Tolerances = DEFAULT_TOL) -> "AffineSubspace":
+    def orthogonal_complement(self) -> "AffineSubspace":
         """Orthogonal complement through the origin of the direction space."""
-        comp = orthonormal_complement(list(self.basis), self.dim_ambient, tol)
-        return AffineSubspace(np.zeros(self.dim_ambient), comp, tol)
+        comp = orthonormal_complement(list(self.basis), self.dim_ambient)
+        return AffineSubspace(np.zeros(self.dim_ambient), comp)
 
     def translate(self, v) -> "AffineSubspace":
-        return AffineSubspace(self.anchor + as_vector(v), self.basis, self._tol)
+        return AffineSubspace(self.anchor + as_vector(v), self.basis)
 
     def __repr__(self):
         return f"AffineSubspace(anchor={self.anchor.tolist()}, dim={self.dim})"
@@ -209,14 +207,20 @@ class Operator:
         raise TypeError(f"unknown operator node {type(self).__name__}")
 
 
-def _derive(node: Operator, children) -> None:
-    """Fix a compound node's ``dim`` (the one its pinned children share) and
-    ``affine``; children pinning different dimensions are rejected."""
+def _common_dim(owner, children) -> int | None:
+    """The ambient dimension that the pinned ``children`` of ``owner`` share,
+    None when none pins one; children pinning different dimensions are
+    rejected."""
     dims = {op.dim for op in children if op.dim is not None}
     if len(dims) > 1:
         raise DimensionMismatchError(
-            f"{type(node).__name__} mixes operators on R^n for n in {sorted(dims)}")
-    object.__setattr__(node, "dim", dims.pop() if dims else None)
+            f"{type(owner).__name__} mixes operators on R^n for n in {sorted(dims)}")
+    return dims.pop() if dims else None
+
+
+def _derive(node: Operator, children) -> None:
+    """Fix a compound node's ``dim`` (see :func:`_common_dim`) and ``affine``."""
+    object.__setattr__(node, "dim", _common_dim(node, children))
     object.__setattr__(node, "affine", all(op.affine for op in children))
 
 
@@ -468,7 +472,7 @@ def reflected_resolvent_const(a) -> Operator:
     return Translate(-2.0 * a)
 
 
-def intersect_affine(subspaces, tol: Tolerances = DEFAULT_TOL) -> AffineSubspace | None:
+def intersect_affine(subspaces) -> AffineSubspace | None:
     """Intersection of affine subspaces, or ``None`` when empty.
 
     Each subspace contributes the constraints ``<n, x> = <n, anchor>`` over an
@@ -486,7 +490,7 @@ def intersect_affine(subspaces, tol: Tolerances = DEFAULT_TOL) -> AffineSubspace
     rows = []
     rhs = []
     for s in subs:
-        for normal in orthonormal_complement(list(s.basis), n, tol):
+        for normal in orthonormal_complement(list(s.basis), n):
             rows.append(normal)
             rhs.append(np.dot(normal, s.anchor))
     if not rows:
@@ -495,10 +499,10 @@ def intersect_affine(subspaces, tol: Tolerances = DEFAULT_TOL) -> AffineSubspace
     b = np.array(rhs)
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     scale = 1.0 + np.linalg.norm(b) + np.linalg.norm(x)
-    if np.linalg.norm(A @ x - b) > tol.eq_tol * scale:
+    if np.linalg.norm(A @ x - b) > EQ_TOL * scale:
         return None
-    directions = orthonormal_complement(rows, n, tol)
-    return AffineSubspace(x, directions, tol)
+    directions = orthonormal_complement(rows, n)
+    return AffineSubspace(x, directions)
 
 
 def ambient_dim(op: Operator) -> int | None:
@@ -506,9 +510,7 @@ def ambient_dim(op: Operator) -> int | None:
     return op.dim
 
 
-def fixed_point_set_affine(
-    op: Operator, tol: Tolerances = DEFAULT_TOL, dim: int | None = None
-) -> AffineSubspace | None:
+def fixed_point_set_affine(op: Operator, dim: int | None = None) -> AffineSubspace | None:
     """Fixed-point set of an affine operator tree, or ``None`` when empty.
 
     The affine map ``op(x) = M x + c`` is recovered by evaluating the tree at
@@ -529,7 +531,7 @@ def fixed_point_set_affine(
     b = -c
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     scale = 1.0 + np.linalg.norm(b) + np.linalg.norm(A, ord=2) * np.linalg.norm(x)
-    if np.linalg.norm(A @ x - b) > tol.eq_tol * scale:
+    if np.linalg.norm(A @ x - b) > EQ_TOL * scale:
         return None
-    directions = orthonormal_complement(list(A), dim, tol)
-    return AffineSubspace(x, directions, tol)
+    directions = orthonormal_complement(list(A), dim)
+    return AffineSubspace(x, directions)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circummap import OperatorSet, cc_map
-from .geometry import DEFAULT_TOL, Tolerances, as_vector
+from .geometry import as_vector
 from .operators import (
     AffineSubspace,
     Ball,
@@ -165,7 +165,7 @@ def map_solve(U1: AffineSubspace, U2: AffineSubspace, x0, rule: StopRule) -> Ite
     return _iterate("map", x0, rule, lambda x, _: next(projections)(x))
 
 
-def crm_solve(S: OperatorSet, x0, rule: StopRule, tol: Tolerances = DEFAULT_TOL) -> IterationTrace:
+def crm_solve(S: OperatorSet, x0, rule: StopRule) -> IterationTrace:
     """Circumcenter iteration x_{k+1} = CC_S(x_k).
 
     Exits with ``left_domain`` if an image set has no circumcenter (possible
@@ -174,15 +174,15 @@ def crm_solve(S: OperatorSet, x0, rule: StopRule, tol: Tolerances = DEFAULT_TOL)
     """
 
     def step(x, _):
-        outcome = cc_map(S, x, tol)
+        outcome = cc_map(S, x)
         return outcome.center if outcome.exists else None
 
     return _iterate(f"crm:{S.name}" if S.name else "crm", x0, rule, step)
 
 
-def best_approximation(subspaces, x0, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def best_approximation(subspaces, x0) -> np.ndarray:
     """Nearest point of the intersection of the subspaces, computed directly."""
-    meet = intersect_affine(subspaces, tol)
+    meet = intersect_affine(subspaces)
     if meet is None:
         raise EmptyIntersectionError("the subspaces have empty intersection")
     return meet.project(as_vector(x0))
@@ -264,10 +264,10 @@ def table_geometry(name: str):
 # solvers are looked up by name at call time, so a wrapper installed on this
 # module's bindings (the benchmark's layer tracer does this) sees every solve.
 METHODS = {
-    "drm": lambda geo, x0, rule, tol: drm_solve(geo[0], geo[1], x0, rule),
-    "map": lambda geo, x0, rule, tol: map_solve(geo[0], geo[1], x0, rule),
-    "crm-s1": lambda geo, x0, rule, tol: crm_solve(geo[4], x0, rule, tol),
-    "crm-s2": lambda geo, x0, rule, tol: crm_solve(geo[5], x0, rule, tol),
+    "drm": lambda geo, x0, rule: drm_solve(geo[0], geo[1], x0, rule),
+    "map": lambda geo, x0, rule: map_solve(geo[0], geo[1], x0, rule),
+    "crm-s1": lambda geo, x0, rule: crm_solve(geo[4], x0, rule),
+    "crm-s2": lambda geo, x0, rule: crm_solve(geo[5], x0, rule),
 }
 
 
@@ -338,8 +338,7 @@ def _prefix_to(trace: IterationTrace, epsilon: float) -> IterationTrace | None:
                    residuals=trace.residuals[:k + 1], stop_reason=CONVERGED)
 
 
-def calibrate_table(geo, counts: dict, target, max_iter: int = 64,
-                    tol: Tolerances = DEFAULT_TOL):
+def calibrate_table(geo, counts: dict, target, max_iter: int = 64):
     """The epsilon at which the methods, run on a table's geometry ``geo`` from
     its published start toward ``target``, stop after ``counts[m]`` steps, as
     ``(epsilon, joint_ok, traces)`` (see :func:`calibrate_epsilon`).
@@ -348,15 +347,13 @@ def calibrate_table(geo, counts: dict, target, max_iter: int = 64,
     each trace stops at its count (or at ``max_iter``).
     """
     tiny = np.finfo(float).tiny
-    traces = {m: solve(geo, geo[2], StopRule(tiny, min(max_iter, counts[m]), target), tol)
+    traces = {m: solve(geo, geo[2], StopRule(tiny, min(max_iter, counts[m]), target))
               for m, solve in METHODS.items()}
     eps, joint = calibrate_epsilon({m: tr.residuals for m, tr in traces.items()}, counts)
     return eps, joint, traces
 
 
-def run_benchmark(
-    name: str, max_iter: int = 64, tol: Tolerances = DEFAULT_TOL, x0=None
-) -> BenchResult:
+def run_benchmark(name: str, max_iter: int = 64, x0=None) -> BenchResult:
     """Run all four methods on a table from ``x0`` (default: its published start),
     at the epsilon that :func:`calibrate_table` finds for the reference counts.
     Each method is solved once at that epsilon, unless its calibration trace
@@ -364,14 +361,12 @@ def run_benchmark(
     """
     geo = table_geometry(name)
     expected = REFERENCE_COUNTS[name]
-    target = best_approximation(geo[:2], geo[2], tol)
-    eps, joint, calib = calibrate_table(geo, expected, target, max_iter, tol)
+    eps, joint, calib = calibrate_table(geo, expected, geo[3], max_iter)
     start = geo[2] if x0 is None else as_vector(x0)
     reuse = np.array_equal(start, geo[2])
-    if not reuse:
-        target = best_approximation(geo[:2], start, tol)
+    target = geo[3] if reuse else best_approximation(geo[:2], start)
     traces = {m: (reuse and _prefix_to(calib[m], eps))
-              or solve(geo, start, StopRule(eps, max_iter, target), tol)
+              or solve(geo, start, StopRule(eps, max_iter, target))
               for m, solve in METHODS.items()}
     counts = {m: tr.iterations if tr.stop_reason == CONVERGED else None
               for m, tr in traces.items()}

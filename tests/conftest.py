@@ -13,9 +13,9 @@ def scalar_calls(monkeypatch):
     for name in ("cc_map", "in_domain"):
         real = getattr(circummap, name)
 
-        def counted(S, x, tol, real=real):
+        def counted(S, x, real=real):
             calls.append((S, x))
-            return real(S, x, tol)
+            return real(S, x)
 
         monkeypatch.setattr(circummap, name, counted)
         monkeypatch.setattr(gallery, name, counted, raising=False)

@@ -14,7 +14,7 @@ from circumlib.circumcenter import (
     circumcenter_oracle,
     circumcenter_three,
 )
-from circumlib.geometry import DEFAULT_TOL, rank
+from circumlib.geometry import DUP_TOL, EQ_TOL, rank
 
 
 def both(points):
@@ -71,18 +71,18 @@ def test_pair_midpoint():
 def test_pair_far_from_the_origin_has_its_midpoint_as_circumcenter():
     # Two points near 1e8, an odd number of ulps apart and well above the
     # dedup threshold: their midpoint rounds by half an ulp, so its distances
-    # to them differ by more than eq_tol, yet every pair has a circumcenter.
+    # to them differ by more than EQ_TOL, yet every pair has a circumcenter.
     x = np.array([1e8, 3.0])
     y = x + [10001 * np.spacing(1e8), 0.0]
     out = circumcenter(PointSet([x, y]))
     assert out.exists and out.basis_indices == (0, 1)
     np.testing.assert_array_equal(out.center, 0.5 * (x + y))
     gap = abs(np.linalg.norm(out.center - x) - np.linalg.norm(out.center - y))
-    assert gap > DEFAULT_TOL.eq_tol * (1.0 + out.radius)
+    assert gap > EQ_TOL * (1.0 + out.radius)
     # In a batch too, beside a duplicate that leaves the pair and a triangle.
     far = np.array([1e8, 1e4])
     P = np.ascontiguousarray(np.array([[x, y, x], [x, y, y], [x, y, far]]).transpose(1, 2, 0))
-    exists, center, _, card, _ = _exists_rows(P, DEFAULT_TOL)
+    exists, center, _, card, _ = _exists_rows(P)
     assert exists.tolist() == [True, True, True] and card.tolist() == [2, 2, 3]
     np.testing.assert_array_equal(center[:, :2], np.tile(out.center[:, None], 2))
 
@@ -296,7 +296,7 @@ def test_tight_pair_far_from_the_first_point_keeps_full_accuracy():
 def _stacked_sets(rng, N, m, n):
     """N sets of m points in R^n at scales 1e-3..1e3, stacked rows-last as
     (m, n, N).  Each set is generic, has exact duplicates, has a near duplicate
-    at 0.5 or 2 times dup_tol (just under or over it) or far from it (1e-5 or
+    at 0.5 or 2 times DUP_TOL (just under or over it) or far from it (1e-5 or
     1e5 times), or is collinear or coplanar; one stack mixes cardinalities."""
     sets = rng.standard_normal((N, m, n)) * 10.0 ** rng.uniform(-3, 3, size=(N, 1, 1))
     for pts in sets:
@@ -310,7 +310,7 @@ def _stacked_sets(rng, N, m, n):
             step = rng.standard_normal(n)
             scale = max(np.linalg.norm(pts, axis=1).max(), 1.0)
             factor = rng.choice([0.5, 2.0, 1e-5, 1e5])
-            pts[j] = pts[i] + factor * DEFAULT_TOL.dup_tol * scale * step / np.linalg.norm(step)
+            pts[j] = pts[i] + factor * DUP_TOL * scale * step / np.linalg.norm(step)
         elif kind == 3:
             pts[:] = pts[0] + rng.standard_normal((m, 1)) * pts[1 % m]
         elif kind == 4:
@@ -323,12 +323,12 @@ def _stacked_sets(rng, N, m, n):
        m=st.integers(min_value=1, max_value=5), n=st.integers(min_value=1, max_value=3))
 def test_batched_kernel_rows_equal_their_own_single_calls(seed, N, m, n):
     P = _stacked_sets(np.random.default_rng(seed), N, m, n)
-    exists, center, radius, card, pivots = _exists_rows(P, DEFAULT_TOL)
+    exists, center, radius, card, pivots = _exists_rows(P)
     assert exists.shape == radius.shape == card.shape == (N,) and center.shape == (n, N)
     # Each row's answer depends on that row alone: the kernel at N = 1 and
     # circumcenter on the deduplicated set give it exactly.
     for r in range(N):
-        one = _exists_rows(P[..., r:r + 1], DEFAULT_TOL)
+        one = _exists_rows(P[..., r:r + 1])
         assert one[0][0] == exists[r] and np.array_equal(one[1][:, 0], center[:, r])
         assert one[2][0] == radius[r] and one[3][0] == card[r]
         out = circumcenter(PointSet(P[..., r]))

@@ -17,6 +17,7 @@ from circumlib.circummap import (
     relaxed_set,
     subspace_probes,
 )
+from circumlib.geometry import DimensionMismatchError
 from circumlib.operators import (
     AffineComb,
     AffineSubspace,
@@ -301,6 +302,19 @@ def test_prefix_words_compose_the_first_k_nodes_reversed():
         assert type(word) is Compose and len(word.ops) == len(letters)
         assert all(got is node for got, node in zip(word.ops, letters))
     assert len(OperatorSet.prefix_words([])) == 1
+
+
+LINE_IN_R3 = AffineSubspace.span(np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: OperatorSet.with_identity((ProjAffine(X_AXIS), ProjAffine(LINE_IN_R3))),
+    lambda: OperatorSet((Identity(), ReflAffine(X_AXIS), Translate(np.zeros(3)))),
+    lambda: OperatorSet((Compose((ScaledId(2.0), ReflAffine(LINE_IN_R3))), ProjAffine(DIAG))),
+], ids=["with-identity", "hand-built", "compound-member"])
+def test_operator_set_rejects_members_of_different_dimensions(build):
+    with pytest.raises(DimensionMismatchError, match="OperatorSet mixes operators on R"):
+        build()
 
 
 def _ball_reflectors():

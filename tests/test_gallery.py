@@ -19,6 +19,9 @@ from circumlib.gallery import (
     ImpropernessIff,
     ProbeGrid,
     Scenario,
+    FIXED_POINT_SEPARATION,
+    LIMIT_RESIDUAL_TOL,
+    SEQUENCE_CHECK_TOL,
     ScenarioNotFoundError,
     SequenceLimit,
     VerificationReport,
@@ -28,7 +31,6 @@ from circumlib.gallery import (
     verify,
     verify_scenario,
 )
-from circumlib.geometry import DEFAULT_TOL
 from circumlib.operators import AffineSubspace, Identity, ReflAffine, Translate
 
 # the reference benchmark row for the line/plane table cannot be reproduced
@@ -105,7 +107,7 @@ def test_corrupted_scenario_fails():
         ),
         operator_set=base.operator_set,
     )
-    report = verify_scenario(bad, 0, DEFAULT_TOL)
+    report = verify_scenario(bad, 0)
     assert not report.passed
     assert report.failures
 
@@ -179,7 +181,7 @@ def _scalar_sequence(s, kind, report):
         if kind.cc_values is not None:
             want = kind.cc_values(x)
             dev = float(np.linalg.norm(out.center - want) / (1.0 + np.linalg.norm(want)))
-            report.record(dev, dev <= kind.check_tol, x, want, out.center)
+            report.record(dev, dev <= SEQUENCE_CHECK_TOL, x, want, out.center)
     if kind.expect_vanishing is not None and residuals:
         vanished = residuals[-1] <= max(1e-6, 0.05 * residuals[0])
         report.record(residuals[-1], vanished == kind.expect_vanishing, "residual-trend",
@@ -192,11 +194,11 @@ def _scalar_sequence(s, kind, report):
             else:
                 want = kind.map_at_limit
                 dev = float(np.linalg.norm(out.center - want) / (1.0 + np.linalg.norm(want)))
-                report.record(dev, dev <= kind.check_tol, kind.limit, want, out.center)
+                report.record(dev, dev <= SEQUENCE_CHECK_TOL, kind.limit, want, out.center)
         if kind.limit_residual is not None:
             got = fixed_point_residual(s.operator_set, kind.limit)
             dev = float("inf") if got is None else abs(got - kind.limit_residual)
-            report.record(dev, dev <= kind.residual_tol, "limit-residual",
+            report.record(dev, dev <= LIMIT_RESIDUAL_TOL, "limit-residual",
                           kind.limit_residual, got)
 
 
@@ -234,8 +236,8 @@ def _scalar_verify(s, seed):
             report.record(r if r is not None else float("inf"), ok, x, 0.0, r)
         for x in kind.not_fixed(seed):
             r = fixed_point_residual(S, x)
-            ok = r is not None and r > kind.separation
-            report.record(0.0 if ok else 1.0, ok, x, f"> {kind.separation}", r)
+            ok = r is not None and r > FIXED_POINT_SEPARATION
+            report.record(0.0 if ok else 1.0, ok, x, f"> {FIXED_POINT_SEPARATION}", r)
         for x in kind.proper_probes(seed):
             ok = cc_map(S, x).exists
             report.record(0.0 if ok else 1.0, ok, x, "exists", ok)
@@ -265,7 +267,7 @@ def test_batched_checks_equal_the_scalar_checks(name):
                 if ok:
                     scale = np.linalg.norm(evaluate_set(S, x).points, axis=1).max()
                     assert np.linalg.norm(center - out.center) <= CENTER_RTOL * scale
-        got = _summary(verify_scenario(s, seed, DEFAULT_TOL))
+        got = _summary(verify_scenario(s, seed))
         want = _summary(_scalar_verify(s, seed))
         if name in CLASSIFIED:
             assert got == want
@@ -295,9 +297,9 @@ def test_improperness_grid_is_one_kernel_call(monkeypatch):
     calls = []
     real = circummap._exists_rows
 
-    def counted(P, tol):
+    def counted(P):
         calls.append(P.shape)
-        return real(P, tol)
+        return real(P)
 
     monkeypatch.setattr(circummap, "_exists_rows", counted)
     report = verify("relaxed-same-line-iff", seed=0)
@@ -310,9 +312,9 @@ def test_fixed_point_residuals_come_from_one_kernel_call(monkeypatch, scalar_cal
     calls, recorded = [], []
     real_rows, real_record = circummap._exists_rows, VerificationReport.record
 
-    def counted(P, tol):
+    def counted(P):
         calls.append(P.shape)
-        return real_rows(P, tol)
+        return real_rows(P)
 
     def spy(self, deviation, ok, inp, expected, got):
         recorded.append((inp, got))
@@ -340,8 +342,7 @@ def test_stacked_families_split_at_their_boundaries():
     kind = ImpropernessIff(predicate=lambda a: a == 2, grid=list(range(len(grid))),
                            build=lambda a: grid[a][0],
                            samples=lambda a, seed: gaussian_cloud(2, grid[a][1], seed + a))
-    report = verify_scenario(Scenario("stacked", 2, "families of 2 and 3 operators", kind),
-                             0, DEFAULT_TOL)
+    report = verify_scenario(Scenario("stacked", 2, "families of 2 and 3 operators", kind), 0)
     assert report.checks == 4
     assert report.failures == []
 
@@ -350,7 +351,7 @@ def test_empty_probe_sets_keep_their_answers():
     S = scenario("ball-projector-fix").operator_set
 
     def run(expected):
-        return verify_scenario(Scenario("empty", 2, "no probes", expected, S), 0, DEFAULT_TOL)
+        return verify_scenario(Scenario("empty", 2, "no probes", expected, S), 0)
 
     report = run(DomainSpec(member=lambda x: False, probes=lambda seed: []))
     assert report.checks == 0 and report.passed
@@ -372,19 +373,18 @@ def test_classified_failures_record_python_bools():
     x = np.array([1.0, 2.0])
     report = verify_scenario(
         Scenario("wrong-member", 2, "member disagrees", DomainSpec(
-            member=lambda x: False, probes=lambda seed: [x]), S), 0, DEFAULT_TOL)
+            member=lambda x: False, probes=lambda seed: [x]), S), 0)
     ((inp, want, got),) = report.failures
     assert inp is x and want is False and got is True
     report = verify_scenario(
         Scenario("wrong-predicate", 2, "predicate disagrees", ImpropernessIff(
             predicate=lambda a: True, grid=[()], build=lambda a: S,
-            samples=lambda a, seed: [x])), 0, DEFAULT_TOL)
+            samples=lambda a, seed: [x])), 0)
     assert report.failures == [((), True, False)] and report.failures[0][2] is False
     # three distinct colinear images: no circumcenter anywhere
     S = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 0.0])))
     report = verify_scenario(
         Scenario("improper-probe", 2, "mapping undefined at the probe", FixedPointSpec(
-            fixed=[], not_fixed=lambda seed: [], proper_probes=lambda seed: [x]), S),
-        0, DEFAULT_TOL)
+            fixed=[], not_fixed=lambda seed: [], proper_probes=lambda seed: [x]), S), 0)
     ((inp, want, got),) = report.failures
     assert inp is x and want == "exists" and got is False

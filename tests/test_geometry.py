@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circumlib.geometry import (
-    DEFAULT_TOL,
+    DUP_TOL,
+    EQ_TOL,
+    RANK_TOL,
     DimensionMismatchError,
-    Tolerances,
     affine_hull_basis,
     orthonormal_basis,
     orthonormal_complement,
@@ -150,9 +151,5 @@ def test_orthonormal_complement_roundtrip():
                 assert abs(np.dot(c, b)) <= 1e-10
 
 
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(rank_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(eq_tol=1.5)
-    assert DEFAULT_TOL.rank_tol == 1e-10
+def test_thresholds_are_pinned():
+    assert (RANK_TOL, EQ_TOL, DUP_TOL) == (1e-10, 1e-9, 1e-12)

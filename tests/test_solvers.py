@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from circumlib import solvers
-from circumlib.geometry import DEFAULT_TOL
 from circumlib.operators import AffineSubspace, Ball
 from circumlib.solvers import (
     METHODS,
@@ -153,8 +152,7 @@ def _full_distances(geo, start, max_iter):
     """Every method's distances to the target over all ``max_iter`` steps."""
     target = best_approximation(geo[:2], start)
     rule = StopRule(np.finfo(float).tiny, max_iter, target)
-    return {m: [float(np.linalg.norm(p - target)) for p in solve(geo, start, rule,
-                                                                  DEFAULT_TOL).measured]
+    return {m: [float(np.linalg.norm(p - target)) for p in solve(geo, start, rule).measured]
             for m, solve in METHODS.items()}
 
 
