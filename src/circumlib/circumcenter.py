@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DUP_TOL, EQ_TOL, RANK_TOL, affine_hull_basis, as_vector, orthonormal_basis
+from .geometry import (DUP_TOL, EQ_TOL, RANK_TOL, _check_same_dim, affine_hull_basis, as_vector,
+                       orthonormal_basis)
 
 __all__ = [
     "PointSet",
@@ -39,9 +40,7 @@ class PointSet:
         pts = [as_vector(p) for p in points]
         if not pts:
             raise ValueError("a point set must contain at least one point")
-        dims = {len(p) for p in pts}
-        if len(dims) > 1:
-            raise ValueError(f"mixed point dimensions: {sorted(dims)}")
+        _check_same_dim(pts)
         P = np.array(pts)
         self.points = P[_dedup(P[..., None])[0][:, 0]]
 

@@ -297,7 +297,7 @@ def affine_comb_identity_check(subspaces, alpha: float, x, projectors: bool = Fa
 def gaussian_cloud(dim: int, count: int, seed: int = 0, scale: float = 1.0):
     """Deterministic seeded Gaussian sample cloud."""
     rng = np.random.default_rng(seed)
-    return [scale * rng.standard_normal(dim) for _ in range(count)]
+    return list(scale * rng.standard_normal((count, dim)))
 
 
 def subspace_probes(subspaces, count_per: int = 3, seed: int = 0, spread: float = 2.0):

@@ -29,6 +29,7 @@ from .gallery import (
     verify,
     verify_scenario,
 )
+from .geometry import DimensionMismatchError, _check_same_dim
 from .solvers import (
     METHODS,
     REFERENCE_COUNTS,
@@ -172,9 +173,10 @@ def read_point_file(path) -> list:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not points:
         raise ValueError(f"{path}: no points found")
-    dims = {len(p) for p in points}
-    if len(dims) > 1:
-        raise ValueError(f"{path}: inconsistent point dimensions {sorted(dims)}")
+    try:
+        _check_same_dim(points)
+    except DimensionMismatchError as exc:
+        raise DimensionMismatchError(f"{path}: {exc}") from exc
     return points
 
 

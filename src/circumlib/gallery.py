@@ -16,18 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circumcenter import circumcenter_three
+from .circumcenter import _dedup, circumcenter_three
 from .circummap import (
     OperatorSet,
-    cc_map,
     cc_map_rows,
     classify_points,
-    evaluate_set,
     gaussian_cloud,
     relaxation,
     residuals_vanish,
 )
-from .geometry import as_vector
+from .geometry import RANK_TOL
 from .operators import (
     AffineComb,
     AffineSubspace,
@@ -82,8 +80,9 @@ FIXED_POINT_SEPARATION = 1e-3  # smallest residual of a FixedPointSpec not-fixed
 
 @dataclass
 class ClosedFormMap:
-    """Expected pointwise values: ``reference(x)`` returns the expected
-    circumcenter, or None when nonexistence is expected."""
+    """Expected values at the probes: ``reference(X)`` maps the (N, dim)
+    probe rows to the (N, dim) expected circumcenters, with a NaN row where
+    no circumcenter is expected, as :func:`cc_map_rows` does."""
 
     reference: object
     probes: object
@@ -182,17 +181,28 @@ def _line_points(U: AffineSubspace, coeffs):
     return [U.anchor + float(c) * U.basis[0] for c in coeffs]
 
 
+def _image_stack(S: OperatorSet, X) -> np.ndarray:
+    """The images of the rows of ``X`` (N, n) under every member of ``S``,
+    by a tree walk, as (N, m, n)."""
+    return np.stack([apply(op, X) for op in S], axis=1)
+
+
+def _hull_projection(Y, Z) -> np.ndarray:
+    """P_{aff(Y_r)}(Z_r) for every row r of the image stack ``Y`` (N, m, n)
+    and the points ``Z`` (N, n).  numpy's SVD decides the hull's rank (the
+    ``rcond`` cutoff, which numpy 1.x also has), so this path shares nothing
+    with the kernel's Gram-Schmidt."""
+    anchor = Y[:, 0]
+    A = np.swapaxes(Y[:, 1:] - anchor[:, None], 1, 2)
+    coef = np.linalg.pinv(A, rcond=RANK_TOL) @ (Z - anchor)[..., None]
+    return anchor + (A @ coef)[..., 0]
+
+
 def _hull_projection_reference(S: OperatorSet, subspaces):
-    """Reference value P_{aff(S(x))}(P_{cap U_i} x) for identity-containing
-    reflector-word families; an independent path from the Gram solve."""
+    """Reference rows P_{aff(S(x))}(P_{cap U_i} x) for identity-containing
+    reflector-word families."""
     meet = intersect_affine(subspaces)
-
-    def ref(x):
-        z = meet.project(x)
-        hull = AffineSubspace.from_points(list(evaluate_set(S, x)))
-        return hull.project(z)
-
-    return ref
+    return lambda X: _hull_projection(_image_stack(S, X), meet.project(X))
 
 
 # -- catalog -----------------------------------------------------------------
@@ -215,7 +225,7 @@ def _build_catalog() -> list[Scenario]:
         "identity with the reflectors of a line and its orthogonal complement; "
         "the mapping is identically zero",
         ClosedFormMap(
-            reference=lambda x: np.zeros(2),
+            reference=np.zeros_like,
             probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0)
             + _line_points(U_line, [-2, 1, 3])
             + _line_points(U_line.orthogonal_complement(), [-1, 2]),
@@ -233,7 +243,7 @@ def _build_catalog() -> list[Scenario]:
         2,
         "identity, complementary projectors and the zero map send x to x/2",
         ClosedFormMap(
-            reference=lambda x: 0.5 * as_vector(x),
+            reference=lambda X: 0.5 * X,
             probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0) + _line_points(U_half, [1.5, -2]),
         ),
         S_half,
@@ -254,18 +264,18 @@ def _build_catalog() -> list[Scenario]:
         "identity, mirror across the y-axis, and a vertical fold onto a line; "
         "proper and continuous with closed form (0, (y - (x-2)/4)/2)",
         ClosedFormMap(
-            reference=lambda x: np.array([0.0, 0.5 * (x[1] - 0.25 * (x[0] - 2.0))]),
+            reference=lambda X: np.column_stack(
+                [np.zeros(len(X)), 0.5 * (X[:, 1] - 0.25 * (X[:, 0] - 2.0))]),
             probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0)
             + [np.array([0.0, 1.0]), np.array([2.0, 0.0]), np.array([3.0, -0.25])],
         ),
         OperatorSet.with_identity((ReflAffine(Y_AXIS), T3), "mirror-fold"),
     )
 
-    def _const_pair_reference(x):
-        x = as_vector(x)
-        if x[0] == 2.0:
-            return np.array([0.0, 0.0])
-        return np.array([0.0, -2.0 * (x[0] + 2.0) - (x[0] - 2.0) / 8.0])
+    def _const_pair_reference(X):
+        x = X[:, 0]
+        y = np.where(x == 2.0, 0.0, -2.0 * (x + 2.0) - (x - 2.0) / 8.0)
+        return np.column_stack([np.zeros(len(X)), y])
 
     add(
         "const-pair-fold",
@@ -440,7 +450,7 @@ def _build_catalog() -> list[Scenario]:
         "identity with a double reflection: the mapping is the averaged "
         "double-reflection (Douglas-Rachford) operator",
         ClosedFormMap(
-            reference=lambda x: 0.5 * (as_vector(x) + apply(S_dr.ops[1], x)),
+            reference=lambda X: 0.5 * (X + apply(S_dr.ops[1], X)),
             probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0),
             check_tol=1e-12,
         ),
@@ -454,9 +464,9 @@ def _build_catalog() -> list[Scenario]:
         "on either line the mapping collapses to the projector onto the "
         "other line",
         ClosedFormMap(
-            reference=lambda x: (
-                DIAGONAL.project(x) if X_AXIS.contains(x) else X_AXIS.project(x)
-            ),
+            reference=lambda X: np.array([
+                DIAGONAL.project(x) if X_AXIS.contains(x) else X_AXIS.project(x) for x in X
+            ]).reshape(X.shape),
             probes=lambda seed: _line_points(X_AXIS, [-2.0, 1.0, 4.0])
             + _line_points(DIAGONAL, [-1.5, 0.5, 3.0]),
         ),
@@ -469,17 +479,21 @@ def _build_catalog() -> list[Scenario]:
         "four-words",
     )
 
-    four_hull_reference = _hull_projection_reference(S_four, [X_AXIS, U_skew])
+    four_meet = intersect_affine([X_AXIS, U_skew])
 
-    def _four_reference(x):
-        pts = list(evaluate_set(S_four, x))
-        if len(pts) == 1:
-            return pts[0]
-        if len(pts) == 2:
-            return 0.5 * (pts[0] + pts[1])
-        if len(pts) == 3:
-            return circumcenter_three(*pts).center
-        return four_hull_reference(x)
+    def _four_reference(X):
+        Y = _image_stack(S_four, X)
+        want = _hull_projection(Y, four_meet.project(X))
+        # the images PointSet keeps: one, two or three take their own form
+        keep = _dedup(Y.transpose(1, 2, 0))[0].T
+        for r in np.flatnonzero(keep.sum(axis=1) < 4):
+            pts = Y[r, keep[r]]
+            if len(pts) == 3:
+                center = circumcenter_three(*pts).center
+                want[r] = np.nan if center is None else center
+            else:  # the point itself, or the midpoint of two
+                want[r] = pts.mean(axis=0)
+        return want
 
     add(
         "four-word-cases",
@@ -508,8 +522,8 @@ def _build_catalog() -> list[Scenario]:
         2,
         "relaxed reflectors: the mapping equals alpha*CC(x) + (1-alpha)*x",
         ClosedFormMap(
-            reference=lambda x: alpha0 * cc_map(S_base_relax, x).center
-            + (1.0 - alpha0) * as_vector(x),
+            reference=lambda X: alpha0 * cc_map_rows([(S_base_relax, X)])[1]
+            + (1.0 - alpha0) * X,
             probes=lambda seed: gaussian_cloud(2, 10, seed, 2.0),
         ),
         S_relaxed,
@@ -528,7 +542,7 @@ def _build_catalog() -> list[Scenario]:
         "identity with one projector per subspace equals the half relaxation "
         "of the reflector mapping",
         ClosedFormMap(
-            reference=lambda x: 0.5 * cc_map(S_base_proj, x).center + 0.5 * as_vector(x),
+            reference=lambda X: 0.5 * cc_map_rows([(S_base_proj, X)])[1] + 0.5 * X,
             probes=lambda seed: gaussian_cloud(3, 10, seed, 2.0),
         ),
         S_projectors,
@@ -978,11 +992,11 @@ def _build_catalog() -> list[Scenario]:
         "the two-line reflector mapping is not additive: values at (1,0), "
         "(1,-1) and their sum",
         ClosedFormMap(
-            reference=lambda x: {
-                (1.0, 0.0): np.array([0.5, 0.5]),
-                (1.0, -1.0): np.zeros(2),
-                (2.0, -1.0): np.zeros(2),
-            }[tuple(map(float, x))],
+            reference=lambda X: np.array([{
+                (1.0, 0.0): [0.5, 0.5],
+                (1.0, -1.0): [0.0, 0.0],
+                (2.0, -1.0): [0.0, 0.0],
+            }[tuple(x)] for x in X.tolist()]).reshape(X.shape),
             probes=lambda seed: [
                 np.array([1.0, 0.0]),
                 np.array([1.0, -1.0]),
@@ -1062,9 +1076,9 @@ def verify_scenario(s: Scenario, seed: int = 0) -> VerificationReport:
     kind = s.expected
     if isinstance(kind, ClosedFormMap):
         probes = kind.probes(seed)
-        for x, center in zip(probes, _centers(s.operator_set, probes, s.dim)):
-            want = kind.reference(x)
-            if want is None:
+        X = _rows(probes, s.dim)
+        for x, center, want in zip(probes, _centers(s.operator_set, X, s.dim), kind.reference(X)):
+            if np.isnan(want).all():
                 report.record(float(center is not None), center is None, x, None, center)
             elif center is None:
                 report.record(1.0, False, x, want, None)

@@ -14,7 +14,7 @@ from circumlib.circumcenter import (
     circumcenter_oracle,
     circumcenter_three,
 )
-from circumlib.geometry import DUP_TOL, EQ_TOL, rank
+from circumlib.geometry import DUP_TOL, EQ_TOL, DimensionMismatchError, rank
 
 
 def both(points):
@@ -130,6 +130,11 @@ def test_three_point_requires_distinct():
 def test_pointset_dedups():
     ps = PointSet([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert len(ps) == 2
+
+
+def test_pointset_rejects_mixed_dimensions():
+    with pytest.raises(DimensionMismatchError, match=r"mixed vector dimensions: \[1, 2\]"):
+        PointSet([[1.0, 2.0], [3.0]])
 
 
 def test_pointset_rejects_nonfinite():

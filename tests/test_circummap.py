@@ -570,3 +570,16 @@ def test_reflector_word_families_always_proper_small():
             assert np.linalg.norm(out.center - hull.project(u)) <= 1e-9 * (
                 1 + np.linalg.norm(x)
             )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_gaussian_cloud_is_the_per_point_draw(dim):
+    # one (count, dim) draw takes the same values from the generator as
+    # count draws of dim values each
+    for seed in range(30):
+        for count in (0, 1, 2, 7, 20):
+            rng = np.random.default_rng(seed)
+            want = [2.5 * rng.standard_normal(dim) for _ in range(count)]
+            got = gaussian_cloud(dim, count, seed, 2.5)
+            assert len(got) == count
+            assert all(g.shape == (dim,) and np.array_equal(g, w) for g, w in zip(got, want))

@@ -149,6 +149,8 @@ def test_circumcenter_mixed_dims(capsys, tmp_path):
     f.write_text("1,2\n1,2,3\n")
     code, _, err = run_cli(capsys, "circumcenter", str(f))
     assert code == 1
+    # the same check and message as every other mixed-dimension family
+    assert f"error: {f}: mixed vector dimensions: [2, 3]" in err
 
 
 def test_circumcenter_missing_file(capsys):

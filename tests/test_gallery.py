@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import circumlib.circummap as circummap
+import circumlib.gallery as gallery
 from circumlib.circummap import (
     OperatorSet,
     cc_map,
@@ -11,6 +12,7 @@ from circumlib.circummap import (
     fixed_point_residual,
     gaussian_cloud,
     in_domain,
+    subspace_probes,
 )
 from circumlib.gallery import (
     ClosedFormMap,
@@ -31,7 +33,14 @@ from circumlib.gallery import (
     verify,
     verify_scenario,
 )
-from circumlib.operators import AffineSubspace, Identity, ReflAffine, Translate
+from circumlib.operators import (
+    AffineSubspace,
+    Compose,
+    Identity,
+    ReflAffine,
+    Translate,
+    intersect_affine,
+)
 
 # the reference benchmark row for the line/plane table cannot be reproduced
 # from its on-line start point; see the README's "Known state" paragraph
@@ -208,9 +217,9 @@ def _scalar_verify(s, seed):
     report = VerificationReport(scenario=s.name)
     if isinstance(kind, ClosedFormMap):
         for x in kind.probes(seed):
-            want = kind.reference(x)
+            want = kind.reference(np.reshape(x, (1, s.dim)))[0]
             out = cc_map(S, x)
-            if want is None:
+            if np.isnan(want).all():
                 report.record(float(out.exists), not out.exists, x, None, out.center)
             elif not out.exists:
                 report.record(1.0, False, x, want, None)
@@ -283,14 +292,67 @@ def test_verify_classifies_probes_as_arrays(scalar_calls, name):
     assert scalar_calls == []
 
 
-@pytest.mark.parametrize("name", ["four-word-cases", "demiclosedness-fails"])
-def test_verify_batches_the_centers(scalar_calls, name):
-    s = scenario(name)
+CLOSED_FORM = [s.name for s in catalog() if isinstance(s.expected, ClosedFormMap)]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM + ["demiclosedness-fails"])
+def test_verify_batches_the_centers(monkeypatch, scalar_calls, name):
+    evaluated = []
+
+    def spy(S, x):
+        evaluated.append(x)
+        return circummap.evaluate_set(S, x)
+
+    monkeypatch.setattr(gallery, "evaluate_set", spy, raising=False)
     report = verify(name, seed=0)
     assert report.passed and report.checks > 0
-    # reference closures may call cc_map on other families; the scenario's
-    # own family is evaluated only through the batched kernel
-    assert [x for S, x in scalar_calls if S is s.operator_set] == []
+    # neither the centers nor the references they are compared with are
+    # computed one probe at a time
+    assert scalar_calls == [] and evaluated == []
+
+
+def _reflected_subspaces(S):
+    """The subspaces of the reflector nodes of the family ``S``."""
+    found, nodes = [], list(S)
+    while nodes:
+        op = nodes.pop()
+        if isinstance(op, Compose):
+            nodes.extend(op.ops)
+        elif isinstance(op, ReflAffine) and op.subspace not in found:
+            found.append(op.subspace)
+    return found
+
+
+@pytest.mark.parametrize("name", ["reflector-words-m", "reflector-cycle-words", "cdrm-words",
+                                  "crm-prefix-words"])
+def test_hull_reference_matches_the_pointwise_hull(name):
+    s = scenario(name)
+    S, subspaces = s.operator_set, _reflected_subspaces(s.operator_set)
+    meet = intersect_affine(subspaces)
+    # seeded probes, then points on each subspace and points of the meet,
+    # where images coincide and the hull loses rank
+    probes = [x for seed in range(5) for x in s.expected.probes(seed)]
+    probes += subspace_probes(subspaces + [meet], 3, seed=0) + [meet.anchor]
+    got = s.expected.reference(np.array(probes))
+    assert got.shape == (len(probes), s.dim)
+    for x, g in zip(probes, got):
+        # the pointwise reference, with a Gram-Schmidt hull of the deduplicated images
+        want = AffineSubspace.from_points(list(evaluate_set(S, x))).project(meet.project(x))
+        assert np.linalg.norm(g - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
+
+
+def test_nan_reference_row_expects_no_circumcenter():
+    # three distinct colinear images: no circumcenter anywhere
+    improper = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 0.0])))
+    proper = OperatorSet((Identity(), Translate([1.0, 0.0])))
+    x = np.array([0.5, -1.0])
+    expected = ClosedFormMap(reference=lambda X: np.full(X.shape, np.nan),
+                             probes=lambda seed: [x])
+    report = verify_scenario(Scenario("none-expected", 2, "NaN rows", expected, improper), 0)
+    assert report.checks == 1 and report.passed
+    report = verify_scenario(Scenario("none-expected", 2, "NaN rows", expected, proper), 0)
+    ((inp, want, got),) = report.failures
+    assert inp is x and want is None and np.array_equal(got, [1.0, -1.0])
 
 
 def test_improperness_grid_is_one_kernel_call(monkeypatch):
