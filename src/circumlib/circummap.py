@@ -16,14 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circumcenter import CircumcenterOutcome, PointSet, _exists_rows, circumcenter
-from .geometry import EQ_TOL, as_vector
+from .geometry import EQ_TOL, DimensionMismatchError, _check_same_dim, as_vector
 from .operators import (
     AffineComb,
     Identity,
     Operator,
     ProjAffine,
     ReflAffine,
-    _common_dim,
+    _affine_maps,
+    _derive,
+    _shape,
     _word,
     apply,
 )
@@ -53,7 +55,8 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """Ordered finite family of operators with an optional display name;
-    members pinning different dimensions are rejected, as by ``Compose``."""
+    members pinning different dimensions are rejected, as by ``Compose``.
+    ``dim`` and ``affine`` are derived from the members as for ``Compose``."""
 
     ops: tuple
     name: str = ""
@@ -62,7 +65,7 @@ class OperatorSet:
         ops = tuple(self.ops)
         if not ops:
             raise ValueError("an operator set must contain at least one operator")
-        _common_dim(self, ops)
+        _derive(self, ops)
         object.__setattr__(self, "ops", ops)
 
     def __len__(self) -> int:
@@ -149,42 +152,85 @@ def in_domain(S: OperatorSet, x) -> DomainDiagnosis:
     return DomainDiagnosis(outcome.exists, card, independent, witness)
 
 
-def _images(S: OperatorSet, X) -> np.ndarray:
-    """The images ``T x`` of every row ``x`` of ``X`` (N, n) under every
-    operator of ``S``, stacked rows-last as (m, n, N)."""
-    # np.array copies each transposed image in C order, so the row axis is
-    # the contiguous one.
-    images = np.array([apply(op, X).T for op in S])
+def _checked_dim(pairs) -> int:
+    """The n of the ``(S, X)`` of ``pairs``, each ``X`` a finite (N, n) array."""
+    for _, X in pairs:
+        if X.ndim != 2:
+            raise ValueError(f"expected an (N, n) array of points, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("vector entries must be finite")
+    n = _check_same_dim([X.T for _, X in pairs]) if pairs else 0  # len(X.T) is n
+    for S, _ in pairs:
+        if S.dim not in (None, n):
+            raise DimensionMismatchError(f"operator set on R^{S.dim}, got points in R^{n}")
+    return n
+
+
+def _images(pairs, n: int) -> np.ndarray:
+    """The images ``T x`` of every row ``x`` of every ``(S, X)`` in ``pairs``
+    (one family, or affine families of one size and :func:`_shape`) under
+    every ``T`` in ``S``, rows-last as (m, n, N).  Affine families compute
+    c + sum_k M[:, k] x_k from their compiled [M | c] with k in order; any
+    other family walks its trees."""
+    S, X = pairs[0]
+    if not S.affine:  # np.array copies to C order: the row axis is contiguous
+        images = np.array([apply(op, X).T for op in S])
+    else:
+        A = np.empty((len(S), len(pairs), n, n + 1))
+        for i in range(len(S)):
+            A[i] = _affine_maps([T.ops[i] for T, _ in pairs], n)
+        # (m, n + 1, n, F): member, column of [M | c], coordinate, family.
+        # One family's maps broadcast over its rows; more are gathered.
+        A = A.transpose(0, 3, 2, 1)
+        if len(pairs) > 1:
+            A = A[..., np.repeat(np.arange(len(pairs)), [len(X) for _, X in pairs])]
+            X = np.concatenate([X for _, X in pairs])
+        images = np.zeros((len(S), n, len(X)))
+        images += A[:, n]
+        for k in range(n):
+            images += A[:, k] * X[:, k]
     if not np.isfinite(images).all():
         raise ValueError("vector entries must be finite")
     return images
 
 
-def cc_map_rows(pairs):
-    """``cc_map(S, x)`` for every row ``x`` of every ``(S, X)`` in
-    ``pairs``, each ``X`` an (N_i, n) array, as ``(exists, centers)``: a
-    boolean array and an array of centers, one row per input row in the order
-    given.  Rows without a circumcenter have NaN centers.
+def _exists_pairs(pairs, n: int):
+    """(row indices, :func:`_exists_rows` results) per family size for the
+    rows of the ``(S, X)`` in ``pairs``, with the affine families of one size
+    and shape compiled together."""
+    if len(pairs) == 1:  # the common call, with nothing to group
+        yield slice(None), _exists_rows(_images(pairs, n))
+        return
+    starts = np.cumsum([0] + [len(X) for _, X in pairs])
+    groups = {}  # family size -> shape key -> pair indices
+    for p, (S, _) in enumerate(pairs):
+        groups.setdefault(len(S), {}).setdefault(
+            tuple(map(_shape, S)) if S.affine else p, []).append(p)
+    for blocks in groups.values():
+        images = np.concatenate([_images([pairs[p] for p in block], n)
+                                 for block in blocks.values()], axis=2)
+        rows = np.concatenate([np.arange(starts[p], starts[p + 1])
+                               for block in blocks.values() for p in block])
+        yield rows, _exists_rows(images)
 
-    Each family's images are evaluated for all its rows at once, and the
-    images of families of one size go through one :func:`_exists_rows` call,
-    the kernel whose N = 1 case is :func:`cc_map`; every row's answer is the
-    pointwise answer.
+
+def cc_map_rows(pairs):
+    """``cc_map(S, x)`` for every row ``x`` of every ``(S, X)`` in ``pairs``,
+    each ``X`` a finite (N_i, n) array of one n, as ``(exists, centers)``,
+    one row per input row in the order given; rows without a circumcenter
+    have NaN centers.  Families of one size share one :func:`_exists_rows`
+    call, the kernel whose N = 1 case is :func:`cc_map`.  An all-affine
+    family takes its images from its compiled maps (:func:`_images`), so
+    they can differ from :func:`cc_map`'s in the last bits.  A row's answer
+    does not depend on the other rows or families of the call.
     """
     pairs = [(S, np.asarray(X, dtype=float)) for S, X in pairs]
-    for _, X in pairs:
-        if X.ndim != 2:
-            raise ValueError(f"expected an (N, n) array of points, got shape {X.shape}")
-    X = np.concatenate([X for _, X in pairs]) if pairs else np.zeros((0, 0))
-    owner = np.repeat(np.arange(len(pairs)), [len(Xi) for _, Xi in pairs])
-    sizes = np.array([len(S) for S, _ in pairs], dtype=int)
-    exists = np.zeros(len(X), dtype=bool)
-    centers = np.empty_like(X.T)
-    for m in np.unique(sizes):
-        images = np.concatenate([_images(S, Xi) for S, Xi in pairs if len(S) == m], axis=2)
-        rows = np.flatnonzero(sizes[owner] == m)
-        exists[rows], centers[:, rows] = _exists_rows(images)[:2]
-    centers = centers.T
+    n = _checked_dim(pairs)
+    total = sum(len(X) for _, X in pairs)
+    exists = np.zeros(total, dtype=bool)
+    centers = np.empty((total, n))
+    for rows, found in _exists_pairs(pairs, n):
+        exists[rows], centers[rows] = found[0], found[1].T
     centers[~exists] = np.nan
     return exists, centers
 
@@ -206,7 +252,9 @@ def check_properness_sampled(S: OperatorSet, points) -> PropernessReport:
     pts = [as_vector(x) for x in points]
     if not pts:
         return PropernessReport(checked=0)
-    exists, _, _, card, pivots = _exists_rows(_images(S, np.array(pts)))
+    _check_same_dim(pts)
+    pairs = [(S, np.array(pts))]
+    exists, _, _, card, pivots = _exists_rows(_images(pairs, _checked_dim(pairs)))
     report = PropernessReport(checked=len(pts))
     report.counterexamples = [pts[i] for i in np.flatnonzero(~exists)]
     if len(S) == 3:

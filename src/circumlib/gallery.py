@@ -100,7 +100,8 @@ class DomainSpec:
 
 @dataclass
 class ImpropernessIff:
-    """Sampled improperness over a parameter grid must match the predicate."""
+    """Sampled improperness over a parameter grid must match the predicate;
+    every family of the grid is sampled at the same ``samples(seed)``."""
 
     predicate: object
     grid: list
@@ -569,7 +570,7 @@ def _build_catalog() -> list[Scenario]:
     GRID = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
     U_same = X_AXIS
 
-    def _off_line_samples(params, seed):
+    def _off_line_samples(seed):
         return [np.array([0.3, 1.7]), np.array([-1.2, 0.4])] + [
             p for p in gaussian_cloud(2, 4, seed, 2.0) if abs(p[1]) > 0.1
         ]
@@ -870,7 +871,7 @@ def _build_catalog() -> list[Scenario]:
             predicate=lambda a: True,
             grid=[()],
             build=lambda a: S_circles,
-            samples=lambda a, seed: [np.zeros(2), np.array([0.5, 0.0])]
+            samples=lambda seed: [np.zeros(2), np.array([0.5, 0.0])]
             + gaussian_cloud(2, 6, seed, 2.0),
         ),
     )
@@ -878,7 +879,7 @@ def _build_catalog() -> list[Scenario]:
     # --- reflected resolvents with closed forms
     NONNEG_GRID = [0.0, 0.5, 1.0, 2.0]
 
-    def _resolvent_samples(a, seed):
+    def _resolvent_samples(seed):
         return [np.array([1.0, 0.5]), np.array([-2.0, 3.0])] + gaussian_cloud(2, 3, seed, 2.0)
 
     add(
@@ -910,7 +911,7 @@ def _build_catalog() -> list[Scenario]:
         ),
     )
 
-    def _const_samples(a, seed):
+    def _const_samples(seed):
         return [np.array([0.7]), np.array([-1.3])]
 
     add(
@@ -1092,12 +1093,10 @@ def verify_scenario(s: Scenario, seed: int = 0) -> VerificationReport:
             want = bool(kind.member(x))
             report.record(float(want != got), want == got, x, want, got)
     elif isinstance(kind, ImpropernessIff):
-        # Every family of the grid in one kernel call, split back per family.
-        families = [(kind.build(params), _rows(kind.samples(params, seed), s.dim))
-                    for params in kind.grid]
-        inside, _ = cc_map_rows(families)
-        stops = np.cumsum([len(X) for _, X in families], dtype=int)
-        for params, rows in zip(kind.grid, np.split(inside, stops[:-1])):
+        # Every family of the grid at the same samples in one kernel call.
+        X = _rows(kind.samples(seed), s.dim)
+        inside, _ = cc_map_rows([(kind.build(params), X) for params in kind.grid])
+        for params, rows in zip(kind.grid, inside.reshape(len(kind.grid), len(X))):
             improper = not rows.all()
             want = bool(kind.predicate(params))
             report.record(float(want != improper), want == improper, params, want, improper)

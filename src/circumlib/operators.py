@@ -90,6 +90,8 @@ class AffineSubspace:
             if not np.allclose(G, np.eye(len(rows)), atol=1e-12):
                 raise ValueError("basis must be orthonormal to 1e-12; use from_spanning()")
         self.basis = B
+        P = B.T @ B  # the projector is the affine map [P | a - P a]
+        self.proj_map = np.column_stack([P, self.anchor - P @ self.anchor])
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -190,11 +192,12 @@ class Ball:
 class Operator:
     """Base class for immutable operator trees; call or apply() to evaluate.
 
-    Each node maps a point, or the rows of an (N, n) array, with ``_map``.
-    ``dim`` is the ambient dimension the node pins (None when it is
-    dimension-free) and ``affine`` says whether the node is an affine map;
-    both are fixed when the node is built, and ``Compose``/``AffineComb``
-    derive them from their children.
+    Each node maps a point, or the rows of an (N, n) array, with ``_map``,
+    and an affine node type stacks the exact maps of its nodes with
+    ``_stack`` (see :func:`_affine_maps`).  ``dim`` is the ambient dimension
+    the node pins (None when it is dimension-free) and ``affine`` says
+    whether the node is an affine map; both are fixed when the node is
+    built, and ``Compose``/``AffineComb`` derive them from their children.
     """
 
     dim = None
@@ -207,20 +210,15 @@ class Operator:
         raise TypeError(f"unknown operator node {type(self).__name__}")
 
 
-def _common_dim(owner, children) -> int | None:
-    """The ambient dimension that the pinned ``children`` of ``owner`` share,
-    None when none pins one; children pinning different dimensions are
-    rejected."""
+def _derive(node, children) -> None:
+    """Fix a compound node's ``affine`` and its ``dim``, the ambient dimension
+    that its pinned ``children`` share (None when none pins one); children
+    pinning different dimensions are rejected."""
     dims = {op.dim for op in children if op.dim is not None}
     if len(dims) > 1:
         raise DimensionMismatchError(
-            f"{type(owner).__name__} mixes operators on R^n for n in {sorted(dims)}")
-    return dims.pop() if dims else None
-
-
-def _derive(node: Operator, children) -> None:
-    """Fix a compound node's ``dim`` (see :func:`_common_dim`) and ``affine``."""
-    object.__setattr__(node, "dim", _common_dim(node, children))
+            f"{type(node).__name__} mixes operators on R^n for n in {sorted(dims)}")
+    object.__setattr__(node, "dim", dims.pop() if dims else None)
     object.__setattr__(node, "affine", all(op.affine for op in children))
 
 
@@ -228,6 +226,10 @@ def _derive(node: Operator, children) -> None:
 class Identity(Operator):
     def _map(self, x):
         return x.copy()
+
+    @staticmethod
+    def _stack(nodes, n):
+        return np.eye(n, n + 1)[None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,6 +243,12 @@ class Constant(Operator):
     def _map(self, x):
         return np.broadcast_to(self.value, x.shape).copy()
 
+    @staticmethod
+    def _stack(nodes, n):
+        A = np.zeros((len(nodes), n, n + 1))
+        A[:, :, n] = [nd.value for nd in nodes]
+        return A
+
 
 @dataclass(frozen=True, eq=False)
 class ScaledId(Operator):
@@ -248,6 +256,10 @@ class ScaledId(Operator):
 
     def _map(self, x):
         return self.gamma * x
+
+    @staticmethod
+    def _stack(nodes, n):
+        return np.array([nd.gamma for nd in nodes])[:, None, None] * np.eye(n, n + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +273,12 @@ class Translate(Operator):
     def _map(self, x):
         return x + self.offset
 
+    @staticmethod
+    def _stack(nodes, n):
+        A = np.tile(np.eye(n, n + 1), (len(nodes), 1, 1))
+        A[:, :, n] = [nd.offset for nd in nodes]
+        return A
+
 
 @dataclass(frozen=True, eq=False)
 class ProjAffine(Operator):
@@ -272,6 +290,10 @@ class ProjAffine(Operator):
     def _map(self, x):
         return self.subspace.project(x)
 
+    @staticmethod
+    def _stack(nodes, n):
+        return np.array([nd.subspace.proj_map for nd in nodes])
+
 
 @dataclass(frozen=True, eq=False)
 class ReflAffine(Operator):
@@ -282,6 +304,10 @@ class ReflAffine(Operator):
 
     def _map(self, x):
         return self.subspace.reflect(x)
+
+    @staticmethod
+    def _stack(nodes, n):
+        return 2.0 * np.array([nd.subspace.proj_map for nd in nodes]) - np.eye(n, n + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,6 +394,20 @@ class Compose(Operator):
             x = apply(inner, x)
         return x
 
+    @staticmethod
+    def _stack(nodes, n):
+        # Fold in from the operator that acts first; [L | l] after [M | c]
+        # is [LM | Lc + l], with LM summed over k in order.
+        A = _affine_maps([nd.ops[-1] for nd in nodes], n)
+        for j in range(len(nodes[0].ops) - 2, -1, -1):
+            L = _affine_maps([nd.ops[j] for nd in nodes], n)
+            LA = L[:, :, :1] * A[:, None, 0]
+            for k in range(1, n):
+                LA += L[:, :, k:k + 1] * A[:, None, k]
+            LA[:, :, n] += L[:, :, n]
+            A = LA
+        return A
+
 
 @dataclass(frozen=True, eq=False)
 class AffineComb(Operator):
@@ -390,6 +430,14 @@ class AffineComb(Operator):
         for w, inner in self.terms:
             acc = acc + w * apply(inner, x)
         return acc
+
+    @staticmethod
+    def _stack(nodes, n):
+        W = np.array([[w for w, _ in nd.terms] for nd in nodes])
+        A = 0.0
+        for j in range(W.shape[1]):
+            A = A + W[:, j, None, None] * _affine_maps([nd.terms[j][1] for nd in nodes], n)
+        return A
 
 
 def project_ball(ball: Ball, x) -> np.ndarray:
@@ -419,6 +467,23 @@ def apply(op: Operator, x) -> np.ndarray:
         raise DimensionMismatchError(
             f"{type(op).__name__} acts on R^{op.dim}, got points in R^{x.shape[-1]}")
     return op._map(x)
+
+
+def _shape(op: Operator):
+    """The tree shape of ``op``: its type, and its children's shapes."""
+    if isinstance(op, Compose):
+        return (Compose, *map(_shape, op.ops))
+    if isinstance(op, AffineComb):
+        return (AffineComb, *(_shape(t) for _, t in op.terms))
+    return type(op)
+
+
+def _affine_maps(nodes, n: int) -> np.ndarray:
+    """The exact affine maps x -> M x + c on R^n of the F affine ``nodes`` of
+    one :func:`_shape`, stacked as [M | c] (F, n, n + 1), or (1, n, n + 1)
+    when they are equal: one numpy operation per tree position.  Entries are
+    elementwise in a fixed order, so a map does not depend on its stack."""
+    return type(nodes[0])._stack(nodes, n)
 
 
 def reflector_of(proj: Operator) -> Operator:
@@ -513,10 +578,10 @@ def ambient_dim(op: Operator) -> int | None:
 def fixed_point_set_affine(op: Operator, dim: int | None = None) -> AffineSubspace | None:
     """Fixed-point set of an affine operator tree, or ``None`` when empty.
 
-    The affine map ``op(x) = M x + c`` is recovered by evaluating the tree at
-    the origin and the coordinate directions, then ``(M - I) x = -c`` is
-    solved with a consistency check.  Trees containing ball, box, or sphere
-    nodes are rejected.
+    The affine map ``op(x) = M x + c`` is read from the tree's structure
+    (:func:`_affine_maps`), then ``(M - I) x = -c`` is solved with a
+    consistency check.  Trees containing ball, box, or sphere nodes are
+    rejected.
     """
     if not op.affine:
         raise UnsupportedNodeError("fixed-point solve supports affine operator trees only")
@@ -524,9 +589,11 @@ def fixed_point_set_affine(op: Operator, dim: int | None = None) -> AffineSubspa
         dim = ambient_dim(op)
     if dim is None:
         raise ValueError("ambient dimension cannot be inferred; pass dim explicitly")
+    if op.dim not in (None, dim):
+        raise DimensionMismatchError(f"{type(op).__name__} acts on R^{op.dim}, not R^{dim}")
 
-    c = apply(op, np.zeros(dim))
-    M = np.column_stack([apply(op, e) - c for e in np.eye(dim)])
+    Mc = _affine_maps([op], dim)[0]
+    M, c = Mc[:, :dim], Mc[:, dim]
     A = M - np.eye(dim)
     b = -c
     x, *_ = np.linalg.lstsq(A, b, rcond=None)

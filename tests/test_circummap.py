@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import circumlib.circummap as circummap
+import circumlib.gallery as gallery
+import circumlib.operators as operators
 from circumlib.circummap import (
     OperatorSet,
     affine_comb_identity_check,
@@ -17,6 +20,7 @@ from circumlib.circummap import (
     relaxed_set,
     subspace_probes,
 )
+from circumlib.gallery import verify
 from circumlib.geometry import DimensionMismatchError
 from circumlib.operators import (
     AffineComb,
@@ -279,6 +283,91 @@ def test_cc_map_rows_equals_cc_map_across_stacked_families():
             assert np.isnan(center).all()
     assert not exists[7:9].any() and exists[9:].all()
     assert cc_map_rows([])[0].shape == (0,)
+
+
+def test_mixed_dimensions_raise_dimension_mismatch():
+    S3 = OperatorSet((Identity(), ProjAffine(AffineSubspace.span(np.array([1.0, 0.0, 0.0])))))
+    with pytest.raises(DimensionMismatchError):
+        cc_map_rows([(S_TWO_LINES, np.zeros((2, 2))), (S3, np.zeros((3, 3)))])
+    with pytest.raises(DimensionMismatchError):
+        cc_map_rows([(OperatorSet((Identity(),)), np.zeros((2, 2))),
+                     (OperatorSet((Identity(),)), np.zeros((0, 3)))])
+    # a family pinning R^3 at points of R^2, on the compiled path
+    with pytest.raises(DimensionMismatchError):
+        cc_map_rows([(S3, np.zeros((2, 2)))])
+    with pytest.raises(DimensionMismatchError):
+        check_properness_sampled(S_TWO_LINES, [np.zeros(2), np.zeros(3)])
+
+
+BALL_FAMILY = OperatorSet((Identity(), ProjBall(Ball(np.zeros(2), 1.0)), ReflAffine(DIAG)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rows_of_a_family_do_not_depend_on_the_call(affine_family, seed):
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    # three shapes, two families each, interleaved; at n = 2 a family that
+    # walks its trees joins them
+    families = [affine_family(100 * seed + f % 3, 1000 * seed + f, n) for f in range(6)]
+    if n == 2:
+        families.insert(2, BALL_FAMILY)
+    pairs = [(S, 2.0 * rng.standard_normal((int(rng.integers(0, 6)), n))) for S in families]
+    exists, centers = cc_map_rows(pairs)
+    start = 0
+    for S, X in pairs:
+        stop = start + len(X)
+        alone = cc_map_rows([(S, X)])
+        assert exists[start:stop].tolist() == alone[0].tolist()
+        assert centers[start:stop].tobytes() == alone[1].tobytes()
+        # a tree walk maps rows with matrix products, whose rounding can
+        # depend on the row count; compiled maps do not
+        if S.affine:
+            for x, ok, center in zip(X, alone[0], alone[1]):
+                one = cc_map_rows([(S, x[None])])
+                assert one[0][0] == ok and one[1][0].tobytes() == center.tobytes()
+        start = stop
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_compiled_images_agree_with_apply(affine_family, seed):
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    # one family, and four of one shape compiled together
+    for pairs in ([(affine_family(seed, seed, n), 3.0 * rng.standard_normal((7, n)))],
+                  [(affine_family(seed, 50 + f, n), 3.0 * rng.standard_normal((f, n)))
+                   for f in range(4)]):
+        images = circummap._images(pairs, n)
+        X = np.concatenate([X for _, X in pairs])
+        walked = np.concatenate([np.array([apply(op, X).T for op in S]) for S, X in pairs],
+                                axis=2)
+        assert images.shape == walked.shape == (len(pairs[0][0]), n, len(X))
+        err = np.linalg.norm(images - walked, axis=1).max(axis=0, initial=0.0)
+        assert (err <= 1e-14 * (1.0 + np.linalg.norm(X, axis=1))).all()
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """The operator node of every ``apply`` call made while the test runs,
+    through any of the library's bindings."""
+    calls = []
+    real = operators.apply
+
+    def counted(op, x):
+        calls.append(op)
+        return real(op, x)
+
+    for module in (operators, circummap, gallery):
+        monkeypatch.setattr(module, "apply", counted)
+    return calls
+
+
+def test_affine_grids_are_compiled_and_ball_families_walk(apply_calls):
+    for name in ("relaxed-composed-iff", "relaxed-projectors-same-line-iff", "const-resolvents"):
+        report = verify(name, seed=0)
+        assert report.passed and report.checks > 0
+    assert apply_calls == []
+    assert classify_points(BALL_FAMILY, np.array(gaussian_cloud(2, 4, seed=3))).shape == (4,)
+    assert len(apply_calls) == len(BALL_FAMILY)
 
 
 # -- family constructors ----------------------------------------------------------

@@ -172,7 +172,7 @@ def _probe_sets(s, seed):
     if isinstance(kind, (DomainSpec, ClosedFormMap)):
         return [(s.operator_set, kind.probes(seed))]
     if isinstance(kind, ImpropernessIff):
-        return [(kind.build(params), kind.samples(params, seed)) for params in kind.grid]
+        return [(kind.build(params), kind.samples(seed)) for params in kind.grid]
     if isinstance(kind, SequenceLimit):
         limit = [] if kind.limit is None else [kind.limit]
         return [(s.operator_set, list(kind.points) + limit)]
@@ -235,7 +235,7 @@ def _scalar_verify(s, seed):
     elif isinstance(kind, ImpropernessIff):
         for params in kind.grid:
             improper = any(not in_domain(kind.build(params), x).in_domain
-                           for x in kind.samples(params, seed))
+                           for x in kind.samples(seed))
             want = bool(kind.predicate(params))
             report.record(float(want != improper), want == improper, params, want, improper)
     else:
@@ -398,14 +398,12 @@ def test_stacked_families_split_at_their_boundaries():
     proper = OperatorSet((Identity(), ReflAffine(AffineSubspace.span(np.array([1.0, 0.0])))))
     # three distinct colinear images: no circumcenter anywhere
     improper = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 0.0])))
-    # (family, sample count); the improper family sits between proper ones,
-    # and the empty one finds no point outside the domain
-    grid = [(proper, 3), (improper, 0), (improper, 1), (proper, 2)]
-    kind = ImpropernessIff(predicate=lambda a: a == 2, grid=list(range(len(grid))),
-                           build=lambda a: grid[a][0],
-                           samples=lambda a, seed: gaussian_cloud(2, grid[a][1], seed + a))
+    # the improper family sits between proper ones, all at the same samples
+    grid = [proper, improper, proper]
+    kind = ImpropernessIff(predicate=lambda a: a == 1, grid=list(range(len(grid))),
+                           build=lambda a: grid[a], samples=lambda seed: gaussian_cloud(2, 3, seed))
     report = verify_scenario(Scenario("stacked", 2, "families of 2 and 3 operators", kind), 0)
-    assert report.checks == 4
+    assert report.checks == 3
     assert report.failures == []
 
 
@@ -419,10 +417,10 @@ def test_empty_probe_sets_keep_their_answers():
     assert report.checks == 0 and report.passed
     # no sample finds a point outside the domain, so the family counts as proper
     report = run(ImpropernessIff(predicate=lambda a: False, grid=[()], build=lambda a: S,
-                                 samples=lambda a, seed: []))
+                                 samples=lambda seed: []))
     assert report.checks == 1 and report.passed
     report = run(ImpropernessIff(predicate=lambda a: True, grid=[()], build=lambda a: S,
-                                 samples=lambda a, seed: []))
+                                 samples=lambda seed: []))
     assert report.failures == [((), True, False)]
     report = run(FixedPointSpec(fixed=[], not_fixed=lambda seed: [],
                                 proper_probes=lambda seed: []))
@@ -441,7 +439,7 @@ def test_classified_failures_record_python_bools():
     report = verify_scenario(
         Scenario("wrong-predicate", 2, "predicate disagrees", ImpropernessIff(
             predicate=lambda a: True, grid=[()], build=lambda a: S,
-            samples=lambda a, seed: [x])), 0)
+            samples=lambda seed: [x])), 0)
     assert report.failures == [((), True, False)] and report.failures[0][2] is False
     # three distinct colinear images: no circumcenter anywhere
     S = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 0.0])))

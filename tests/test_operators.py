@@ -21,6 +21,7 @@ from circumlib.operators import (
     ScaledId,
     Translate,
     UnsupportedNodeError,
+    _affine_maps,
     apply,
     fixed_point_set_affine,
     intersect_affine,
@@ -340,6 +341,17 @@ def test_fixed_points_of_contraction():
     fix = fixed_point_set_affine(ScaledId(0.5), dim=3)
     assert fix.dim == 0
     np.testing.assert_allclose(fix.anchor, np.zeros(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_fixed_points_read_the_probed_affine_map(affine_family, seed):
+    n = 1 + seed % 3
+    for op in affine_family(seed, seed, n):
+        Mc = _affine_maps([op], n)[0]
+        c = apply(op, np.zeros(n))
+        M = np.column_stack([apply(op, e) - c for e in np.eye(n)])
+        assert Mc.shape == (n, n + 1)
+        assert np.abs(Mc[:, :n] - M).max() <= 1e-14 and np.abs(Mc[:, n] - c).max() <= 1e-14
 
 
 def test_fixed_points_empty_for_translation():
