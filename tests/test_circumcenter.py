@@ -2,6 +2,8 @@
 hand-derived value below was cross-checked against it, and the main solver is
 required to agree with it everywhere."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,3 +343,58 @@ def test_batched_kernel_rows_equal_their_own_single_calls(seed, N, m, n):
         assert len(out.basis_indices) == (pivots[:, r] >= 0).sum()
         if out.exists:
             assert np.array_equal(out.center, center[:, r]) and out.radius == radius[r]
+
+
+# SHA-256 of exists, center, radius and card over the corpus below, recorded
+# before the three-point path existed; any change to a kernel bit moves it.
+KERNEL_DIGEST = "a2e8d81e525857d80d68db7d936c0b9dcea1e119bab0148200f144053aa68fe8"
+
+
+def _kernel_digest():
+    h = hashlib.sha256()
+    # N straddles _dot's cutoff at 16 and reaches the loop form at 300.
+    for m in range(1, 6):
+        for n in range(1, 4):
+            for N in (0, 1, 16, 17, 300):
+                exists, center, radius, card, _ = _exists_rows(
+                    _stacked_sets(np.random.default_rng((m, n, N)), N, m, n))
+                for a in (exists, center, radius, card.astype(np.int64)):
+                    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_kernel_bits_are_pinned():
+    assert _kernel_digest() == KERNEL_DIGEST
+
+
+@st.composite
+def _isosceles_stacks(draw):
+    """(3, n, N) stacks of dyadic isosceles triangles: base points apex + l
+    and apex + l' with l' a signed permutation of l, so both legs have
+    exactly the same norm.  Points come in a drawn order, scaled by 2^k; a
+    row may repeat a point instead."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    eighths = st.integers(min_value=-16, max_value=16).map(lambda i: i / 8.0)
+    sets = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        apex = np.array(draw(st.lists(eighths, min_size=n, max_size=n)))
+        leg = np.array(draw(st.lists(eighths, min_size=n, max_size=n)))
+        other = leg[draw(st.permutations(range(n)))] * draw(
+            st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        pts = np.array([apex, apex + leg, apex + other])
+        if draw(st.booleans()):
+            i, j = draw(st.permutations(range(3)))[:2]
+            pts[j] = pts[i]
+        sets.append(pts[draw(st.permutations(range(3)))] * 2.0 ** draw(st.integers(-40, 40)))
+    return np.ascontiguousarray(np.array(sets).transpose(1, 2, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(P=_isosceles_stacks())
+def test_three_point_path_equals_the_general_search_on_ties(P):
+    # A copy of point 0 makes m = 4, which takes the general pivot search;
+    # dedup drops the copy, so both calls see the same kept points.
+    three = _exists_rows(P)
+    general = _exists_rows(np.concatenate([P, P[:1]]))
+    for a, b in zip(three, general):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
