@@ -144,13 +144,17 @@ class AffineSubspace:
         return self.basis.shape[0]
 
     def project(self, x) -> np.ndarray:
-        """Nearest point of the subspace: anchor + sum <x-anchor, b_i> b_i."""
+        """Nearest point of the subspace: anchor + sum <x-anchor, b_i> b_i.
+
+        Each point is its own pair of matrix-vector products, alone or as a
+        row of an (N, n) array, so a row maps to the same bits as the point
+        alone, whatever N.
+        """
         x = _as_points(x)
         if x.shape[-1] != self.dim_ambient:
             raise DimensionMismatchError("point dimension differs from subspace ambient dimension")
-        d = x - self.anchor
-        # d.T is d itself for one point and the points as columns for rows.
-        return self.anchor + (self.basis.T @ (self.basis @ d.T)).T
+        d = (x - self.anchor)[..., None]
+        return self.anchor + (self.basis.T @ (self.basis @ d))[..., 0]
 
     def reflect(self, x) -> np.ndarray:
         x = _as_points(x)
