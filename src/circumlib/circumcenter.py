@@ -103,10 +103,12 @@ def _dot(u, v):
     """Inner products of rows-last arrays (..., n, N) over their coordinate
     axis, accumulated one coordinate at a time.  Both evaluations below sum in
     that order, so they agree bit for bit.  One accumulate costs fewer calls
-    than the loop, but its inner loop runs along the strided coordinate axis:
-    on a 2-vCPU x86_64 VM it made the whole kernel 11-28% faster at every
-    N <= 16 measured (3 points in R^3: 114 against 157 us at N = 1), and the
-    loop was faster from about N = 32 for n = 2 and N = 64 for n = 3."""
+    than the loop, but its inner loop runs along the strided coordinate axis.
+    With :func:`_sum_points` switched the same way, on a 2-vCPU x86_64 VM
+    (``BENCH_20.json``, ``cutoff_3_points_us``) the accumulate form made the
+    three-point kernel faster at every N <= 32 measured (99 against 116 us at
+    N = 1 for n = 2, 99 against 134 us for n = 3), and the loop was faster
+    from N = 64 for n = 2 and N = 128 for n = 3."""
     if u.shape[-1] <= 16:
         return np.add.accumulate(u * v, axis=-2)[..., -1, :]
     out = u[..., 0, :] * v[..., 0, :]
@@ -191,8 +193,10 @@ def _exists_rows(P):
 
     found by forward substitution, exists when its distances to the kept
     points deviate from their mean by at most ``EQ_TOL * (1 + radius)``.
-    Each row's answer depends on that row alone, so a batch row equals its
-    own N = 1 call exactly.
+    The rows of an m = 3 stack with three kept points take the same steps in
+    :func:`_pivot_three`, on the anchor's two differences instead of the
+    masked stack.  Each row's answer depends on that row alone, so a batch
+    row equals its own N = 1 call exactly.
     """
     return _circumcenters(P, *_dedup(P))
 
@@ -220,14 +224,14 @@ def _circumcenters(P, keep, dist):
     # Rows of one or two kept points need no pivot search.
     active = card > 2
     searched = active.any()
-    if searched and m == 3:
-        x3 = np.where(closest == 0, P[2], np.where(closest == 1, P[1], P[0]))
-        offset, steps = _pivot_three(x2 - x1, x3 - x1, second, 3 - first - second, active)
-    elif searched:
-        remaining = keep.copy()
-        remaining[first, rows] = False
-        offset, steps = _pivot_search(P - x1, remaining, active)
     if searched:
+        if m == 3:
+            x3 = np.where(closest == 0, P[2], np.where(closest == 1, P[1], P[0]))
+            offset, steps = _pivot_three(x2 - x1, x3 - x1, second, 3 - first - second, active)
+        else:
+            remaining = keep.copy()
+            remaining[first, rows] = False
+            offset, steps = _pivot_search(P - x1, remaining, active)
         center = np.where(active, x1 + offset, center)
         pivots += steps
     dists = _norms(P - center)
