@@ -345,8 +345,9 @@ def test_batched_kernel_rows_equal_their_own_single_calls(seed, N, m, n):
             assert np.array_equal(out.center, center[:, r]) and out.radius == radius[r]
 
 
-# SHA-256 of exists, center, radius and card over the corpus below, recorded
-# before the three-point path existed; any change to a kernel bit moves it.
+# SHA-256 of exists, center, radius and card over the corpus below, as the
+# general pivot loop computes them for every m; any change to a kernel bit
+# moves it.
 KERNEL_DIGEST = "a2e8d81e525857d80d68db7d936c0b9dcea1e119bab0148200f144053aa68fe8"
 
 
