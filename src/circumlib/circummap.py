@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circumcenter import CircumcenterOutcome, PointSet, _exists_rows, circumcenter
+from .circumcenter import (CircumcenterOutcome, PointSet, _circumcenters, _dedup, _exists_rows,
+                           circumcenter)
 from .geometry import EQ_TOL, DimensionMismatchError, _check_same_dim, as_vector
 from .operators import (
     AffineComb,
@@ -136,20 +137,16 @@ def cc_map(S: OperatorSet, x) -> CircumcenterOutcome:
 
 
 def in_domain(S: OperatorSet, x) -> DomainDiagnosis:
-    """Pointwise domain membership with the cardinality/dependence breakdown."""
-    images = evaluate_set(S, x)
-    card = len(images)
-    outcome = circumcenter(images)
-    independent = card <= 2 or len(outcome.basis_indices) == card
-
+    """Pointwise domain membership with the cardinality/dependence breakdown,
+    the N = 1 case of :func:`_domain_rows` (so of :func:`classify_points`)."""
+    exists, card, independent, images, keep = _domain_rows(S, as_vector(x)[None])
     witness = None
-    if card == 3 and not independent:
-        pts = images.points
-        D = (pts[1:] - pts[0]).T
+    if card[0] == 3 and not independent[0]:
+        pts = images[keep[:, 0], :, 0]
         # Smallest right singular vector of [d2 d3] is a dependence witness.
-        _, _, vt = np.linalg.svd(D, full_matrices=True)
+        _, _, vt = np.linalg.svd((pts[1:] - pts[0]).T, full_matrices=True)
         witness = (float(vt[-1, 0]), float(vt[-1, 1]))
-    return DomainDiagnosis(outcome.exists, card, independent, witness)
+    return DomainDiagnosis(bool(exists[0]), int(card[0]), bool(independent[0]), witness)
 
 
 def _checked_dim(pairs) -> int:
@@ -192,6 +189,19 @@ def _images(pairs, n: int) -> np.ndarray:
     if not np.isfinite(images).all():
         raise ValueError("vector entries must be finite")
     return images
+
+
+def _domain_rows(S: OperatorSet, X):
+    """``(exists, card, independent, images, keep)`` for the rows of ``X``
+    (N, n) under ``S``, from one kernel call: existence, the kept-image count,
+    the three-operator criterion (card <= 2, or every kept image past the
+    anchor is a pivot), the images (m, n, N) of :func:`_images` and their keep mask."""
+    pairs = [(S, np.asarray(X, dtype=float))]
+    images = _images(pairs, _checked_dim(pairs))
+    keep, dist = _dedup(images)
+    exists, _, _, card, pivots = _circumcenters(images, keep, dist)
+    independent = (card <= 2) | ((pivots >= 0).sum(axis=0) == card)
+    return exists, card, independent, images, keep
 
 
 def _exists_pairs(pairs, n: int):
@@ -247,29 +257,30 @@ def check_properness_sampled(S: OperatorSet, points) -> PropernessReport:
     For families of exactly three operators each sample is also cross-checked
     against the exact criterion (existence iff cardinality <= 2 or affine
     independence); mismatches indicate a numerical classification bug.  All
-    samples go through one kernel call.
+    samples go through one :func:`_domain_rows` call.
     """
     pts = [as_vector(x) for x in points]
     if not pts:
         return PropernessReport(checked=0)
     _check_same_dim(pts)
-    pairs = [(S, np.array(pts))]
-    exists, _, _, card, pivots = _exists_rows(_images(pairs, _checked_dim(pairs)))
-    report = PropernessReport(checked=len(pts))
-    report.counterexamples = [pts[i] for i in np.flatnonzero(~exists)]
+    exists, _, independent, _, _ = _domain_rows(S, np.array(pts))
+    report = PropernessReport(len(pts), [pts[i] for i in np.flatnonzero(~exists)])
     if len(S) == 3:
-        independent = (card <= 2) | ((pivots >= 0).sum(axis=0) == card)
         report.criterion_mismatches = [pts[i] for i in np.flatnonzero(independent != exists)]
     return report
 
 
+def _residuals(S: OperatorSet, X) -> list:
+    """||x - CC_S(x)|| for every row ``x`` of ``X`` (N, n), None where the
+    image has no circumcenter, from one :func:`cc_map_rows` call."""
+    exists, centers = cc_map_rows([(S, X)])
+    return [float(np.linalg.norm(x - c)) if ok else None
+            for x, c, ok in zip(X, centers, exists)]
+
+
 def fixed_point_residual(S: OperatorSet, x) -> float | None:
     """Distance ||x - CC_S(x)||, or None when the image has no circumcenter."""
-    x = as_vector(x)
-    outcome = cc_map(S, x)
-    if not outcome.exists:
-        return None
-    return float(np.linalg.norm(x - outcome.center))
+    return _residuals(S, as_vector(x)[None])[0]
 
 
 def demiclosedness_probe(S: OperatorSet, sequence, limit=None) -> DemiclosednessReport:
@@ -277,19 +288,17 @@ def demiclosedness_probe(S: OperatorSet, sequence, limit=None) -> Demiclosedness
 
     ``limit`` defaults to the last element; pass the analytic limit when it is
     known.  The membership threshold is ``100 EQ_TOL (1 + |limit|)``; vanishing
-    is decided by :func:`residuals_vanish`.
+    is decided by :func:`residuals_vanish`.  The sequence and the limit go
+    through one :func:`cc_map_rows` call.
     """
     seq = [as_vector(x) for x in sequence]
     if not seq:
         raise ValueError("sequence must be nonempty")
-    residuals = []
-    for x in seq:
-        r = fixed_point_residual(S, x)
-        if r is None:
-            raise ValueError("sequence leaves the domain of the mapping")
-        residuals.append(r)
     limit = seq[-1] if limit is None else as_vector(limit)
-    limit_residual = fixed_point_residual(S, limit)
+    _check_same_dim(seq + [limit])
+    *residuals, limit_residual = _residuals(S, np.array(seq + [limit]))
+    if None in residuals:
+        raise ValueError("sequence leaves the domain of the mapping")
     threshold = 100.0 * EQ_TOL * (1.0 + np.linalg.norm(limit))
     fixed = limit_residual is not None and limit_residual <= threshold
     return DemiclosednessReport(residuals, limit, limit_residual, fixed,
@@ -328,15 +337,12 @@ def affine_comb_identity_check(subspaces, alpha: float, x, projectors: bool = Fa
     x = as_vector(x)
     base = OperatorSet.with_identity(map(ReflAffine, subspaces), "reflectors")
     relaxed = relaxed_set(subspaces, alpha, projectors)
-    got = cc_map(relaxed, x)
-    base_out = cc_map(base, x)
-    if not base_out.exists:
+    exists, centers = cc_map_rows([(relaxed, x[None]), (base, x[None])])
+    if not exists[1]:
         raise ValueError("reflector family has no circumcenter at x; cannot form prediction")
     eff = alpha / 2.0 if projectors else alpha
-    predicted = eff * base_out.center + (1.0 - eff) * x
-    if not got.exists:
-        return None, predicted
-    return got.center, predicted
+    predicted = eff * centers[1] + (1.0 - eff) * x
+    return (centers[0] if exists[0] else None), predicted
 
 
 # -- samplers ------------------------------------------------------------------

@@ -23,10 +23,10 @@ from .gallery import (
     ClosedFormMap,
     ProbeGrid,
     ScenarioNotFoundError,
-    catalog,
     domain_probe,
     scenario,
     verify,
+    verify_all,
     verify_scenario,
 )
 from .geometry import DimensionMismatchError, _check_same_dim
@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
             print(f"error: unknown scenario {args.scenario!r}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        reports = [verify(s.name, seed=args.seed) for s in catalog()]
+        reports = verify_all(args.seed)
 
     header = ["scenario", "checks", "max_deviation", "failures", "status"]
     rows = [

@@ -19,6 +19,7 @@ import numpy as np
 from .circumcenter import _dedup, circumcenter_three
 from .circummap import (
     OperatorSet,
+    _residuals,
     cc_map_rows,
     classify_points,
     gaussian_cloud,
@@ -1109,11 +1110,10 @@ def verify_scenario(s: Scenario, seed: int = 0) -> VerificationReport:
             dev = float("inf") if got is None else float(abs(got - want))
             report.record(dev, got == want, f"{kind.table}:{method}", want, got)
     elif isinstance(kind, FixedPointSpec):
-        # fixed_point_residual for the fixed and the not-fixed probes at once.
+        # The fixed and the not-fixed probes' residuals in one kernel call.
         fixed = list(kind.fixed)
         probes = fixed + list(kind.not_fixed(seed))
-        residuals = [None if c is None else float(np.linalg.norm(x - c))
-                     for x, c in zip(probes, _centers(s.operator_set, probes, s.dim))]
+        residuals = _residuals(s.operator_set, _rows(probes, s.dim))
         for x, r in zip(fixed, residuals):
             ok = r is not None and r <= 1e-9 * (1.0 + np.linalg.norm(x))
             report.record(r if r is not None else float("inf"), ok, x, 0.0, r)

@@ -20,7 +20,6 @@ __all__ = [
     "DimensionMismatchError",
     "as_vector",
     "orthonormal_basis",
-    "rank",
     "orthonormal_complement",
     "affine_hull_basis",
 ]
@@ -99,12 +98,6 @@ def orthonormal_basis(vectors, scale: float | None = None):
         for i in remaining:
             residuals[i] = residuals[i] - np.dot(residuals[i], q) * q
     return basis, pivots
-
-
-def rank(vectors) -> int:
-    """Numerical rank of the family under :data:`RANK_TOL`."""
-    basis, _ = orthonormal_basis(vectors)
-    return len(basis)
 
 
 def orthonormal_complement(vectors, dim: int):

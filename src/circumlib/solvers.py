@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circummap import OperatorSet, cc_map
+from .circummap import OperatorSet, cc_map_rows
 from .geometry import as_vector
 from .operators import (
     AffineSubspace,
@@ -166,7 +166,7 @@ def map_solve(U1: AffineSubspace, U2: AffineSubspace, x0, rule: StopRule) -> Ite
 
 
 def crm_solve(S: OperatorSet, x0, rule: StopRule) -> IterationTrace:
-    """Circumcenter iteration x_{k+1} = CC_S(x_k).
+    """Circumcenter iteration x_{k+1} = CC_S(x_k), one :func:`cc_map_rows` row a step.
 
     Exits with ``left_domain`` if an image set has no circumcenter (possible
     when the family is not an identity-containing reflector-word family over
@@ -174,8 +174,8 @@ def crm_solve(S: OperatorSet, x0, rule: StopRule) -> IterationTrace:
     """
 
     def step(x, _):
-        outcome = cc_map(S, x)
-        return outcome.center if outcome.exists else None
+        exists, centers = cc_map_rows([(S, x[None])])
+        return centers[0] if exists[0] else None
 
     return _iterate(f"crm:{S.name}" if S.name else "crm", x0, rule, step)
 

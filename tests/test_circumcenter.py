@@ -16,7 +16,7 @@ from circumlib.circumcenter import (
     circumcenter_oracle,
     circumcenter_three,
 )
-from circumlib.geometry import DUP_TOL, EQ_TOL, DimensionMismatchError, rank
+from circumlib.geometry import DUP_TOL, EQ_TOL, DimensionMismatchError, orthonormal_basis
 
 
 def both(points):
@@ -47,7 +47,7 @@ def test_oracle_matches_three_point_closed_form():
     for _ in range(100):
         pts = rng.standard_normal((3, 3))
         ps = PointSet(pts)
-        if len(ps) < 3 or rank([pts[1] - pts[0], pts[2] - pts[0]]) < 2:
+        if len(ps) < 3 or len(orthonormal_basis([pts[1] - pts[0], pts[2] - pts[0]])[0]) < 2:
             continue
         a = circumcenter_oracle(ps)
         b = circumcenter_three(pts[0], pts[1], pts[2])
@@ -234,7 +234,7 @@ def test_three_point_existence_iff_rank_two():
         if len(ps) < 3:
             continue
         out = circumcenter(ps)
-        independent = rank([pts[1] - pts[0], pts[2] - pts[0]]) == 2
+        independent = len(orthonormal_basis([pts[1] - pts[0], pts[2] - pts[0]])[0]) == 2
         assert out.exists == independent
 
 

@@ -4,6 +4,7 @@ import pytest
 import circumlib.circummap as circummap
 import circumlib.gallery as gallery
 import circumlib.operators as operators
+import circumlib.solvers as solvers
 from circumlib.circummap import (
     OperatorSet,
     affine_comb_identity_check,
@@ -219,7 +220,7 @@ def test_classify_points_equals_in_domain_on_the_probe_grid(s):
 
     # Unshifted, the grid hits x = +-2 and y = 0 exactly.
     X = ProbeGrid(-4.0, 4.0, 41, -2.0, 2.0, 21).coordinates()
-    want = [in_domain(s.operator_set, x).in_domain for x in X]
+    want = [cc_map(s.operator_set, x).exists for x in X]
     assert classify_points(s.operator_set, X).tolist() == want
 
 
@@ -235,10 +236,10 @@ def test_classify_points_equals_in_domain_on_the_probe_grid(s):
     OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 4e-11]))),
 ], ids=["dup-above", "dup-below", "rank-above", "rank-below"])
 def test_classify_points_leaves_near_threshold_rows_to_in_domain(scalar_calls, S):
-    # Rows near a dedup or rank threshold are decided by the same kernel as
-    # in_domain, with no pointwise call.
+    # Rows near a dedup or rank threshold are decided as cc_map's tree walk
+    # decides them, with no pointwise call.
     X = gaussian_cloud(2, 6, seed=8, scale=0.3)
-    want = [in_domain(S, x).in_domain for x in X]
+    want = [cc_map(S, x).exists for x in X]
     assert classify_points(S, np.array(X)).tolist() == want
     assert scalar_calls == []
 
@@ -247,7 +248,7 @@ def test_classify_points_decides_clear_rows_as_arrays(scalar_calls):
     S = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([0.0, 1.0]),
                      ReflAffine(X_AXIS)))
     X = np.array(gaussian_cloud(2, 40, seed=9) + [np.array([1.0, 0.0])])
-    want = [in_domain(S, x).in_domain for x in X]
+    want = [cc_map(S, x).exists for x in X]
     assert classify_points(S, X).tolist() == want
     assert scalar_calls == []
     assert want[-1] and not all(want)
@@ -463,6 +464,50 @@ def test_check_properness_finds_escape():
 def test_check_properness_identity_only():
     report = check_properness_sampled(OperatorSet((Identity(),)), gaussian_cloud(2, 5, 5))
     assert report.proper_on_samples
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 0.0])
+def test_in_domain_is_the_one_row_case_of_the_batched_criterion(scale):
+    # off the origin, a point on an axis has two images at scale 1 and three
+    # collinear ones otherwise; the origin has one
+    S = OperatorSet((ScaledId(scale), ReflAffine(X_AXIS), ReflAffine(Y_AXIS)))
+    X = np.array(gaussian_cloud(2, 40, seed=4) + [[1.0, 0.0], [0.0, -2.0], [0.0, 0.0]])
+    diags = [in_domain(S, x) for x in X]
+    exists, card, independent, _, _ = circummap._domain_rows(S, X)
+    assert [d.in_domain for d in diags] == exists.tolist() == classify_points(S, X).tolist()
+    assert [d.card for d in diags] == card.tolist()
+    assert [d.affinely_independent for d in diags] == independent.tolist()
+    report = check_properness_sampled(S, X)
+    outside = [x.tolist() for x, d in zip(X, diags) if not d.in_domain]
+    assert [x.tolist() for x in report.counterexamples] == outside
+    assert report.criterion_mismatches == []
+    assert {d.card for d in diags} == ({1, 2, 3} if scale == 1.0 else {1, 3})
+    assert (scale == 1.0) != bool(outside)
+
+
+def test_pointwise_functions_call_the_kernel_not_the_tree_walk(scalar_calls):
+    S = reflector_family([X_AXIS, DIAG])
+    x = np.array([1.0, 2.0])
+    assert fixed_point_residual(S, x) > 0
+    demiclosedness_probe(S, [x, 0.5 * x], limit=np.zeros(2))
+    affine_comb_identity_check([X_AXIS, DIAG], 0.5, x)
+    in_domain(S, x)
+    solvers.crm_solve(S, x, solvers.StopRule(1e-12, 5))
+    assert scalar_calls == []
+    assert not hasattr(solvers, "cc_map")
+
+
+def test_cc_map_rows_is_exported():
+    import circumlib
+
+    assert circumlib.cc_map_rows is cc_map_rows
+
+
+def test_demiclosedness_probe_rejects_mixed_dimensions():
+    with pytest.raises(DimensionMismatchError):
+        demiclosedness_probe(S_TWO_LINES, [np.zeros(2), np.zeros(3)])
+    with pytest.raises(DimensionMismatchError):
+        demiclosedness_probe(S_TWO_LINES, [np.zeros(2)], limit=np.zeros(3))
 
 
 # -- fixed points --------------------------------------------------------------------

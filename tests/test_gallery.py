@@ -11,7 +11,6 @@ from circumlib.circummap import (
     evaluate_set,
     fixed_point_residual,
     gaussian_cloud,
-    in_domain,
     subspace_probes,
 )
 from circumlib.gallery import (
@@ -212,7 +211,8 @@ def _scalar_sequence(s, kind, report):
 
 
 def _scalar_verify(s, seed):
-    """verify_scenario's checks with one in_domain or cc_map call per probe."""
+    """verify_scenario's checks with one pointwise call per probe: ``cc_map``
+    (the tree walk) or ``fixed_point_residual``."""
     kind, S = s.expected, s.operator_set
     report = VerificationReport(scenario=s.name)
     if isinstance(kind, ClosedFormMap):
@@ -230,11 +230,11 @@ def _scalar_verify(s, seed):
         _scalar_sequence(s, kind, report)
     elif isinstance(kind, DomainSpec):
         for x in kind.probes(seed):
-            want, got = bool(kind.member(x)), in_domain(S, x).in_domain
+            want, got = bool(kind.member(x)), cc_map(S, x).exists
             report.record(float(want != got), want == got, x, want, got)
     elif isinstance(kind, ImpropernessIff):
         for params in kind.grid:
-            improper = any(not in_domain(kind.build(params), x).in_domain
+            improper = any(not cc_map(kind.build(params), x).exists
                            for x in kind.samples(seed))
             want = bool(kind.predicate(params))
             report.record(float(want != improper), want == improper, params, want, improper)
@@ -266,8 +266,7 @@ def test_batched_checks_equal_the_scalar_checks(name):
         for S, probes in _probe_sets(s, seed):
             X = np.reshape(probes, (len(probes), s.dim))
             if name in CLASSIFIED:
-                assert classify_points(S, X).tolist() == [in_domain(S, x).in_domain
-                                                          for x in probes]
+                assert classify_points(S, X).tolist() == [cc_map(S, x).exists for x in probes]
                 continue
             exists, centers = cc_map_rows([(S, X)])
             for x, ok, center in zip(probes, exists.tolist(), centers):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from circumlib import solvers
+from circumlib.circummap import cc_map_rows
 from circumlib.operators import AffineSubspace, Ball
 from circumlib.solvers import (
     METHODS,
@@ -187,11 +188,36 @@ def test_benchmark_stops_crm_at_its_count(monkeypatch):
     # calibration runs CRM to the reference counts 5 and 2, and the counting
     # solve at the calibrated epsilon needs at most as many steps again
     calls = []
-    cc_map = solvers.cc_map
-    monkeypatch.setattr(solvers, "cc_map", lambda *args: calls.append(1) or cc_map(*args))
+    cc_map_rows = solvers.cc_map_rows
+    monkeypatch.setattr(solvers, "cc_map_rows",
+                        lambda *args: calls.append(1) or cc_map_rows(*args))
     result = run_benchmark(TABLE2)
     assert result.counts == REFERENCE_COUNTS[TABLE2]
     assert len(calls) <= 14
+
+
+@pytest.mark.parametrize("family", [4, 5], ids=["s1", "s2"])
+@pytest.mark.parametrize("name", [TABLE1, TABLE2])
+def test_crm_rows_stepped_in_lockstep_equal_their_single_start_solves(name, family):
+    # 200 starts stepped together, one cc_map_rows call per step, take each
+    # single-start solve's steps bit for bit
+    S = table(name)[family]
+    X = np.random.default_rng(21).standard_normal((200, 3))
+    steps = [X]
+    for _ in range(8):
+        exists, X = cc_map_rows([(S, X)])
+        assert exists.all()
+        steps.append(X)
+    steps = np.array(steps)
+    for row in range(len(X)):
+        trace = crm_solve(S, steps[0, row], StopRule(1e-300, 8))
+        k = len(trace.iterates)
+        assert np.array(trace.iterates).tobytes() == steps[:k, row].tobytes()
+        if trace.stop_reason == "converged":
+            # a zero step: the lockstep row stays at that fixed point
+            assert (steps[k:, row] == steps[k - 1, row]).all()
+        else:
+            assert trace.stop_reason == "max_iter" and k == 9
 
 
 def test_map_counts_individual_projections():
