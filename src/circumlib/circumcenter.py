@@ -215,19 +215,24 @@ def _circumcenters(P, keep, dist):
         first = second = np.zeros(N, dtype=int)
     if m == 3:
         # The closest pair is (0, 1), (0, 2) or (1, 2): its points are selects.
+        pair01 = closest == 0
         x1 = np.where(closest == 2, P[1], P[0])
-        x2 = np.where(closest == 0, P[1], P[2])
+        x2 = np.where(pair01, P[1], P[2])
     else:
         x1, x2 = _pick(P, first, rows), _pick(P, second, rows)
-    center = np.where(card == 2, 0.5 * (x1 + x2), x1)
-    pivots = [first, np.where(card == 2, second, -1)]
+    two = card == 2
+    center = np.where(two, 0.5 * (x1 + x2), x1)
+    pivots = [first, np.where(two, second, -1)]
     # Rows of one or two kept points need no pivot search.
     active = card > 2
     searched = active.any()
     if searched:
         if m == 3:
-            x3 = np.where(closest == 0, P[2], np.where(closest == 1, P[1], P[0]))
-            offset, steps = _pivot_three(x2 - x1, x3 - x1, second, 3 - first - second, active)
+            x3 = np.where(pair01, P[2], np.where(closest == 1, P[1], P[0]))
+            uv = np.empty((2, *x1.shape))
+            np.subtract(x2, x1, out=uv[0])
+            np.subtract(x3, x1, out=uv[1])
+            offset, steps = _pivot_three(uv, second, 3 - first - second, active)
         else:
             remaining = keep.copy()
             remaining[first, rows] = False
@@ -298,20 +303,22 @@ def _pivot_search(D, remaining, active):
     return sum(aj * q for aj, q in zip(a, Q)), steps
 
 
-def _pivot_three(u, v, iu, iv, active):
-    """:func:`_pivot_search` for m = 3, on the differences ``u`` and ``v``
-    (n, N) of the non-anchor points ``iu`` and ``iv`` instead of the masked
+def _pivot_three(uv, iu, iv, active):
+    """:func:`_pivot_search` for m = 3, on the differences ``uv`` (2, n, N)
+    of the non-anchor points ``iu`` and ``iv`` instead of the masked
     (3, n, N) stack.  It runs the general loop's operations in its order, so
     the offset and the steps are the same bits; the pivot is a select, and
     the second step can only take the other point."""
-    uu, vv = _dot(u, u), _dot(v, v)
-    nu, nv = np.sqrt(uu), np.sqrt(vv)
-    threshold = RANK_TOL * np.maximum(nu, nv)
+    u, v = uv
+    uu, vv = squares = _dot(uv, uv)
+    nu, nv = np.sqrt(squares)
+    nd = np.maximum(nu, nv)
+    threshold = RANK_TOL * nd
     # The longer difference first, the lower point index on ties.  A tie
     # means the anchor's pairs with iu and iv are equally close, so the
     # closest pair is the earlier of the two and iu < iv: u wins.
     take_u = nu >= nv
-    d, e, nd = np.where(take_u, u, v), np.where(take_u, v, u), np.where(take_u, nu, nv)
+    d, e = np.where(take_u, u, v), np.where(take_u, v, u)
     # d is its own residual, so the second pass changes nothing and the step
     # accepts exactly the rows that stay active.
     active = active & (nd > threshold)
@@ -320,7 +327,8 @@ def _pivot_three(u, v, iu, iv, active):
     q0 = np.where(active, d / np.where(active, nd, 1.0), 0.0)
     a0 = np.where(active, 0.5 * np.where(take_u, uu, vv) / np.where(active, _dot(d, q0), 1.0), 0.0)
     steps = [np.where(active, np.where(take_u, iu, iv), -1)]
-    r = e - _dot(e, q0) * q0
+    eq0 = _dot(e, q0)
+    r = e - eq0 * q0
     active = active & (_norms(r) > threshold)
     if not active.any():
         return 0 + a0 * q0, steps
@@ -329,7 +337,7 @@ def _pivot_three(u, v, iu, iv, active):
     accept = active & (nq > threshold)
     q1 = np.where(accept, q / np.where(accept, nq, 1.0), 0.0)
     # The general loop's sums start at 0, and so do these.
-    rhs = 0.5 * np.where(take_u, vv, uu) - (0 + _dot(e, q0) * a0)
+    rhs = 0.5 * np.where(take_u, vv, uu) - (0 + eq0 * a0)
     a1 = np.where(accept, rhs / np.where(accept, _dot(e, q1), 1.0), 0.0)
     steps.append(np.where(accept, np.where(take_u, iv, iu), -1))
     return (0 + a0 * q0) + a1 * q1, steps

@@ -12,21 +12,21 @@ affine dependence is the only failure mode).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .circumcenter import (CircumcenterOutcome, PointSet, _circumcenters, _dedup, _exists_rows,
-                           circumcenter)
+from .circumcenter import CircumcenterOutcome, PointSet, _circumcenters, _dedup, circumcenter
 from .geometry import EQ_TOL, DimensionMismatchError, _check_same_dim, as_vector
 from .operators import (
     AffineComb,
+    Compose,
     Identity,
     Operator,
     ProjAffine,
     ReflAffine,
     _affine_maps,
     _derive,
-    _shape,
     _word,
     apply,
 )
@@ -57,7 +57,9 @@ __all__ = [
 class OperatorSet:
     """Ordered finite family of operators with an optional display name;
     members pinning different dimensions are rejected, as by ``Compose``.
-    ``dim`` and ``affine`` are derived from the members as for ``Compose``."""
+    ``dim``, ``affine`` and ``shape`` are derived from the members as for
+    ``Compose``.  An all-affine family keeps its compiled maps, one stack per
+    dimension (:meth:`_compiled`); that is its only state beyond the members."""
 
     ops: tuple
     name: str = ""
@@ -68,12 +70,26 @@ class OperatorSet:
             raise ValueError("an operator set must contain at least one operator")
         _derive(self, ops)
         object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "_maps", {})
 
     def __len__(self) -> int:
         return len(self.ops)
 
     def __iter__(self):
         return iter(self.ops)
+
+    def _compiled(self, n: int) -> np.ndarray:
+        """The members' [M | c] maps on R^n, stacked (m, n, n + 1), of an
+        all-affine family: compiled by :func:`_affine_maps` on the first call
+        for ``n`` and kept read-only for every later one."""
+        A = self._maps.get(n)
+        if A is None:
+            A = np.empty((len(self.ops), n, n + 1))
+            for i, op in enumerate(self.ops):
+                A[i] = _affine_maps([op], n)
+            A.flags.writeable = False
+            self._maps[n] = A
+        return A
 
     @classmethod
     def with_identity(cls, ops, name: str = "") -> "OperatorSet":
@@ -87,7 +103,7 @@ class OperatorSet:
         word is the bare node ``T_1``, a longer one the ``Compose`` of its
         nodes reversed (``T_1`` acts first)."""
         ops = tuple(ops)
-        return cls((Identity(), *(_word(ops[:k]) for k in range(1, len(ops) + 1))), name)
+        return cls((Identity(), *[_word(ops[:k]) for k in range(1, len(ops) + 1)]), name)
 
 
 @dataclass(frozen=True)
@@ -150,36 +166,61 @@ def in_domain(S: OperatorSet, x) -> DomainDiagnosis:
 
 
 def _checked_dim(pairs) -> int:
-    """The n of the ``(S, X)`` of ``pairs``, each ``X`` a finite (N, n) array."""
-    for _, X in pairs:
+    """The n of the ``(S, X)`` of ``pairs``, each ``X`` a finite (N, n) array;
+    an array given for several families is checked once."""
+    arrays = {id(X): X for _, X in pairs}.values()
+    for X in arrays:
         if X.ndim != 2:
             raise ValueError(f"expected an (N, n) array of points, got shape {X.shape}")
         if not np.isfinite(X).all():
             raise ValueError("vector entries must be finite")
-    n = _check_same_dim([X.T for _, X in pairs]) if pairs else 0  # len(X.T) is n
+    n = _check_same_dim([X.T for X in arrays]) if pairs else 0  # len(X.T) is n
     for S, _ in pairs:
         if S.dim not in (None, n):
             raise DimensionMismatchError(f"operator set on R^{S.dim}, got points in R^{n}")
     return n
 
 
+def _walk(S: OperatorSet, X) -> np.ndarray:
+    """The images (m, n, N) of the rows of ``X`` under every member of ``S``
+    by tree walks, one :func:`apply` per distinct word prefix: a ``Compose``
+    member applies its nodes one at a time, from the one that acts first, as
+    ``Compose`` does, and takes any prefix that an earlier member of ``S``
+    already applied (in {Id, T1, T2 T1}, ``T1 x`` once)."""
+    done = {}  # node ids in application order -> image
+    images = []
+    for op in S:
+        y, word = X, ()
+        for node in (reversed(op.ops) if isinstance(op, Compose) else (op,)):
+            word += (id(node),)
+            if word not in done:
+                done[word] = apply(node, y)
+            y = done[word]
+        images.append(y.T)
+    return np.array(images)  # copies to C order: the row axis is contiguous
+
+
 def _images(pairs, n: int) -> np.ndarray:
     """The images ``T x`` of every row ``x`` of every ``(S, X)`` in ``pairs``
-    (one family, or affine families of one size and :func:`_shape`) under
-    every ``T`` in ``S``, rows-last as (m, n, N).  Affine families compute
-    c + sum_k M[:, k] x_k from their compiled [M | c] with k in order; any
-    other family walks its trees."""
+    (one family, or affine families of one size and ``shape``) under every
+    ``T`` in ``S``, rows-last as (m, n, N).  Affine families compute
+    c + sum_k M[:, k] x_k from their compiled [M | c] with k in order: a lone
+    family's kept maps (:meth:`OperatorSet._compiled`), or the maps of
+    several compiled together.  Any other family walks its trees
+    (:func:`_walk`)."""
     S, X = pairs[0]
-    if not S.affine:  # np.array copies to C order: the row axis is contiguous
-        images = np.array([apply(op, X).T for op in S])
+    if not S.affine:
+        images = _walk(S, X)
     else:
-        A = np.empty((len(S), len(pairs), n, n + 1))
-        for i in range(len(S)):
-            A[i] = _affine_maps([T.ops[i] for T, _ in pairs], n)
         # (m, n + 1, n, F): member, column of [M | c], coordinate, family.
         # One family's maps broadcast over its rows; more are gathered.
-        A = A.transpose(0, 3, 2, 1)
-        if len(pairs) > 1:
+        if len(pairs) == 1:
+            A = S._compiled(n).transpose(0, 2, 1)[..., None]
+        else:
+            A = np.empty((len(S), len(pairs), n, n + 1))
+            for i in range(len(S)):
+                A[i] = _affine_maps([T.ops[i] for T, _ in pairs], n)
+            A = A.transpose(0, 3, 2, 1)
             A = A[..., np.repeat(np.arange(len(pairs)), [len(X) for _, X in pairs])]
             X = np.concatenate([X for _, X in pairs])
         images = np.zeros((len(S), n, len(X)))
@@ -191,64 +232,90 @@ def _images(pairs, n: int) -> np.ndarray:
     return images
 
 
+class _Rows(NamedTuple):
+    """The kernel's outcome on the rows of the families of one size: where
+    the rows sit in the call's input order (``slice(None)`` for a lone
+    family), their images (m, n, N) and keep mask (m, N), and the
+    ``(exists, center, radius, card, pivots)`` of :func:`_circumcenters`."""
+
+    rows: object
+    images: np.ndarray
+    keep: np.ndarray
+    exists: np.ndarray
+    center: np.ndarray
+    radius: np.ndarray
+    card: np.ndarray
+    pivots: np.ndarray
+
+
+def _kernel(rows, images) -> _Rows:
+    """The :class:`_Rows` of one circumcenter-kernel call on ``images``."""
+    keep, dist = _dedup(images)
+    return _Rows(rows, images, keep, *_circumcenters(images, keep, dist))
+
+
+def _outcomes(pairs) -> list:
+    """The :class:`_Rows` of every row of every ``(S, X)`` in ``pairs``, each
+    ``X`` a finite (N_i, n) array of one n: one kernel call per family size,
+    with the affine families of one size and shape compiled together.  This
+    is the one entry to the kernel; a lone family is neither regrouped nor
+    scattered."""
+    pairs = [(S, np.asarray(X, dtype=float)) for S, X in pairs]
+    n = _checked_dim(pairs)
+    if len(pairs) == 1:  # the common call, with nothing to group
+        return [_kernel(slice(None), _images(pairs, n))]
+    starts = np.cumsum([0] + [len(X) for _, X in pairs]).tolist()
+    index = np.arange(starts[-1])
+    groups = {}  # family size -> shape key -> pair indices
+    for p, (S, _) in enumerate(pairs):
+        groups.setdefault(len(S), {}).setdefault(S.shape if S.affine else p, []).append(p)
+    outcomes = []
+    for blocks in groups.values():
+        images = np.concatenate([_images([pairs[p] for p in block], n)
+                                 for block in blocks.values()], axis=2)
+        rows = np.concatenate([index[starts[p]:starts[p + 1]]
+                               for block in blocks.values() for p in block])
+        outcomes.append(_kernel(rows, images))
+    return outcomes
+
+
 def _domain_rows(S: OperatorSet, X):
     """``(exists, card, independent, images, keep)`` for the rows of ``X``
     (N, n) under ``S``, from one kernel call: existence, the kept-image count,
     the three-operator criterion (card <= 2, or every kept image past the
     anchor is a pivot), the images (m, n, N) of :func:`_images` and their keep mask."""
-    pairs = [(S, np.asarray(X, dtype=float))]
-    images = _images(pairs, _checked_dim(pairs))
-    keep, dist = _dedup(images)
-    exists, _, _, card, pivots = _circumcenters(images, keep, dist)
-    independent = (card <= 2) | ((pivots >= 0).sum(axis=0) == card)
-    return exists, card, independent, images, keep
-
-
-def _exists_pairs(pairs, n: int):
-    """(row indices, :func:`_exists_rows` results) per family size for the
-    rows of the ``(S, X)`` in ``pairs``, with the affine families of one size
-    and shape compiled together."""
-    if len(pairs) == 1:  # the common call, with nothing to group
-        yield slice(None), _exists_rows(_images(pairs, n))
-        return
-    starts = np.cumsum([0] + [len(X) for _, X in pairs])
-    groups = {}  # family size -> shape key -> pair indices
-    for p, (S, _) in enumerate(pairs):
-        groups.setdefault(len(S), {}).setdefault(
-            tuple(map(_shape, S)) if S.affine else p, []).append(p)
-    for blocks in groups.values():
-        images = np.concatenate([_images([pairs[p] for p in block], n)
-                                 for block in blocks.values()], axis=2)
-        rows = np.concatenate([np.arange(starts[p], starts[p + 1])
-                               for block in blocks.values() for p in block])
-        yield rows, _exists_rows(images)
+    (out,) = _outcomes([(S, X)])
+    independent = (out.card <= 2) | ((out.pivots >= 0).sum(axis=0) == out.card)
+    return out.exists, out.card, independent, out.images, out.keep
 
 
 def cc_map_rows(pairs):
     """``cc_map(S, x)`` for every row ``x`` of every ``(S, X)`` in ``pairs``,
     each ``X`` a finite (N_i, n) array of one n, as ``(exists, centers)``,
     one row per input row in the order given; rows without a circumcenter
-    have NaN centers.  Families of one size share one :func:`_exists_rows`
-    call, the kernel whose N = 1 case is :func:`cc_map`.  An all-affine
+    have NaN centers.  Families of one size share one kernel call
+    (:func:`_outcomes`), whose N = 1 case is :func:`cc_map`.  An all-affine
     family takes its images from its compiled maps (:func:`_images`), so
     they can differ from :func:`cc_map`'s in the last bits.  A row's answer
     does not depend on the other rows or families of the call.
     """
-    pairs = [(S, np.asarray(X, dtype=float)) for S, X in pairs]
-    n = _checked_dim(pairs)
-    total = sum(len(X) for _, X in pairs)
-    exists = np.zeros(total, dtype=bool)
-    centers = np.empty((total, n))
-    for rows, found in _exists_pairs(pairs, n):
-        exists[rows], centers[rows] = found[0], found[1].T
+    outcomes = _outcomes(pairs)
+    if len(outcomes) == 1 and isinstance(outcomes[0].rows, slice):
+        exists, centers = outcomes[0].exists, outcomes[0].center.T.copy()
+    else:
+        total = sum(len(out.rows) for out in outcomes)
+        exists = np.zeros(total, dtype=bool)
+        centers = np.empty((total, outcomes[0].images.shape[1] if outcomes else 0))
+        for out in outcomes:
+            exists[out.rows], centers[out.rows] = out.exists, out.center.T
     centers[~exists] = np.nan
     return exists, centers
 
 
 def classify_points(S: OperatorSet, X) -> np.ndarray:
     """``in_domain(S, x).in_domain`` for every row ``x`` of ``X`` (N, n), as a
-    boolean array: the ``exists`` column of :func:`cc_map_rows`."""
-    return cc_map_rows([(S, X)])[0]
+    boolean array: the ``exists`` of :func:`cc_map_rows`, without its centers."""
+    return _outcomes([(S, X)])[0].exists
 
 
 def check_properness_sampled(S: OperatorSet, points) -> PropernessReport:

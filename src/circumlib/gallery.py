@@ -218,9 +218,8 @@ def _build_catalog() -> list[Scenario]:
 
     # --- identity/reflector families with global closed forms
     U_line = AffineSubspace.span(np.array([1.0, 2.0]))
-    S_zero = OperatorSet.with_identity(
-        map(ReflAffine, (U_line, U_line.orthogonal_complement())), "id-reflector-pair"
-    )
+    U_perp = U_line.orthogonal_complement()
+    S_zero = OperatorSet.with_identity(map(ReflAffine, (U_line, U_perp)), "id-reflector-pair")
     add(
         "reflectors-zero",
         2,
@@ -230,7 +229,7 @@ def _build_catalog() -> list[Scenario]:
             reference=np.zeros_like,
             probes=lambda seed: gaussian_cloud(2, 12, seed, 2.0)
             + _line_points(U_line, [-2, 1, 3])
-            + _line_points(U_line.orthogonal_complement(), [-1, 2]),
+            + _line_points(U_perp, [-1, 2]),
         ),
         S_zero,
     )

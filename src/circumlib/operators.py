@@ -199,13 +199,19 @@ class Operator:
     Each node maps a point, or the rows of an (N, n) array, with ``_map``,
     and an affine node type stacks the exact maps of its nodes with
     ``_stack`` (see :func:`_affine_maps`).  ``dim`` is the ambient dimension
-    the node pins (None when it is dimension-free) and ``affine`` says
-    whether the node is an affine map; both are fixed when the node is
-    built, and ``Compose``/``AffineComb`` derive them from their children.
+    the node pins (None when it is dimension-free), ``affine`` says whether
+    the node is an affine map, and ``shape`` is its tree shape: a leaf's
+    type, or the tuple of a compound node's type and its children's shapes.
+    All three are fixed when the node is built; ``Compose``/``AffineComb``
+    derive them from their children (:func:`_derive`).
     """
 
     dim = None
     affine = True
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.shape = cls  # a leaf's; _derive sets a compound node's own
 
     def __call__(self, x) -> np.ndarray:
         return apply(self, x)
@@ -215,15 +221,23 @@ class Operator:
 
 
 def _derive(node, children) -> None:
-    """Fix a compound node's ``affine`` and its ``dim``, the ambient dimension
-    that its pinned ``children`` share (None when none pins one); children
-    pinning different dimensions are rejected."""
-    dims = {op.dim for op in children if op.dim is not None}
-    if len(dims) > 1:
-        raise DimensionMismatchError(
-            f"{type(node).__name__} mixes operators on R^n for n in {sorted(dims)}")
-    object.__setattr__(node, "dim", dims.pop() if dims else None)
-    object.__setattr__(node, "affine", all(op.affine for op in children))
+    """Fix a compound node's ``affine``, its ``shape`` and its ``dim``, the
+    ambient dimension that its pinned ``children`` share (None when none pins
+    one), in one pass over the children; children pinning different
+    dimensions are rejected."""
+    dim, affine, shape = None, True, [type(node)]
+    for op in children:
+        if op.dim is not None and op.dim != dim:
+            if dim is not None:
+                dims = sorted({op.dim for op in children if op.dim is not None})
+                raise DimensionMismatchError(
+                    f"{type(node).__name__} mixes operators on R^n for n in {dims}")
+            dim = op.dim
+        affine = affine and op.affine
+        shape.append(op.shape)
+    object.__setattr__(node, "dim", dim)
+    object.__setattr__(node, "affine", affine)
+    object.__setattr__(node, "shape", tuple(shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,14 +434,19 @@ class AffineComb(Operator):
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple((float(w), op) for w, op in self.terms)
+        terms, weights, children = [], [], []
+        for w, op in self.terms:
+            w = float(w)
+            terms.append((w, op))
+            weights.append(w)
+            children.append(op)
         if not terms:
             raise ValueError("AffineComb requires at least one term")
-        total = sum(w for w, _ in terms)
+        total = sum(weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"affine-combination weights must sum to 1, got {total}")
-        object.__setattr__(self, "terms", terms)
-        _derive(self, [op for _, op in terms])
+        object.__setattr__(self, "terms", tuple(terms))
+        _derive(self, children)
 
     def _map(self, x):
         acc = np.zeros_like(x)
@@ -473,18 +492,9 @@ def apply(op: Operator, x) -> np.ndarray:
     return op._map(x)
 
 
-def _shape(op: Operator):
-    """The tree shape of ``op``: its type, and its children's shapes."""
-    if isinstance(op, Compose):
-        return (Compose, *map(_shape, op.ops))
-    if isinstance(op, AffineComb):
-        return (AffineComb, *(_shape(t) for _, t in op.terms))
-    return type(op)
-
-
 def _affine_maps(nodes, n: int) -> np.ndarray:
     """The exact affine maps x -> M x + c on R^n of the F affine ``nodes`` of
-    one :func:`_shape`, stacked as [M | c] (F, n, n + 1), or (1, n, n + 1)
+    one ``shape``, stacked as [M | c] (F, n, n + 1), or (1, n, n + 1)
     when they are equal: one numpy operation per tree position.  Entries are
     elementwise in a fixed order, so a map does not depend on its stack."""
     return type(nodes[0])._stack(nodes, n)
@@ -536,9 +546,9 @@ def reflected_resolvent_scaled_id(alpha: float) -> Operator:
 
 def reflected_resolvent_const(a) -> Operator:
     """Reflected resolvent of the constant operator with value ``a``:
-    the resolvent is x - a, so the reflected resolvent is x - 2a."""
-    a = as_vector(a)
-    return Translate(-2.0 * a)
+    the resolvent is x - a, so the reflected resolvent is x - 2a.  ``a`` is
+    checked once, as the offset that ``Translate`` takes."""
+    return Translate(-2.0 * np.asarray(a, dtype=float))
 
 
 def intersect_affine(subspaces) -> AffineSubspace | None:

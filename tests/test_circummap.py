@@ -369,6 +369,132 @@ def test_affine_grids_are_compiled_and_ball_families_walk(apply_calls):
     assert len(apply_calls) == len(BALL_FAMILY)
 
 
+# -- fixed costs paid once per family -----------------------------------------------
+
+STACKED_TYPES = (Identity, Constant, ScaledId, Translate, ProjAffine, ReflAffine, Compose,
+                 AffineComb)
+
+
+@pytest.fixture
+def stack_calls(monkeypatch):
+    """The node type of every ``_stack`` call, the compile step of
+    ``operators._affine_maps``, made while the test runs."""
+    calls = []
+    for cls in STACKED_TYPES:
+        def counted(nodes, n, cls=cls, real=cls._stack):
+            calls.append(cls)
+            return real(nodes, n)
+
+        monkeypatch.setattr(cls, "_stack", staticmethod(counted))
+    return calls
+
+
+def test_crm_solve_compiles_its_family_once(stack_calls):
+    _, _, x0, _, _, S2 = solvers.table_geometry("table2-plane-plane")
+    S = OperatorSet(S2.ops)
+    # a target off the solution set: no step converges
+    trace = solvers.crm_solve(S, x0, solvers.StopRule(1e-300, 16, target=np.full(3, 9.0)))
+    assert trace.iterations == 16
+    steps = len(stack_calls)
+    OperatorSet(S2.ops)._compiled(3)  # one compile of a fresh equal family
+    assert steps == len(stack_calls) - steps > 0
+    assert list(S._maps) == [3]
+
+
+def test_kept_stacks_are_read_only_and_equal_a_fresh_compile():
+    kept = 0
+    for s in gallery.catalog():
+        S = s.operator_set
+        if S is None:
+            continue
+        gallery.verify_scenario(s, seed=0)
+        if not S.affine:
+            assert S._maps == {}
+            continue
+        A = S._compiled(s.dim)
+        assert list(S._maps) == [s.dim] and S._compiled(s.dim) is A
+        fresh = np.array([operators._affine_maps([op], s.dim)[0] for op in S])
+        assert A.shape == (len(S), s.dim, s.dim + 1)
+        assert A.tobytes() == fresh.tobytes()
+        assert not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0, 0] = 1.0
+        kept += 1
+    assert kept >= 20
+
+
+def _recursive_shape(op):
+    if isinstance(op, Compose):
+        return (Compose, *map(_recursive_shape, op.ops))
+    if isinstance(op, AffineComb):
+        return (AffineComb, *(_recursive_shape(t) for _, t in op.terms))
+    return type(op)
+
+
+def test_shape_fixed_at_construction_equals_the_recursive_definition():
+    families = []
+    for s in gallery.catalog():
+        if s.operator_set is not None:
+            families.append(s.operator_set)
+        if isinstance(s.expected, gallery.ImpropernessIff):
+            families += [s.expected.build(params) for params in s.expected.grid]
+    trees = [op for S in families for op in S]
+    assert len(trees) == 954
+    for op in trees:
+        assert op.shape == _recursive_shape(op)
+    for S in families:
+        assert S.shape == (OperatorSet, *map(_recursive_shape, S))
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: OperatorSet((ReflAffine(X_AXIS), ScaledId(2.0), Translate(np.zeros(3)))),
+     DimensionMismatchError, r"OperatorSet mixes operators on R\^n for n in \[2, 3\]"),
+    (lambda: Compose((ProjAffine(X_AXIS), Identity(), Constant(np.zeros(1)))),
+     DimensionMismatchError, r"Compose mixes operators on R\^n for n in \[1, 2\]"),
+    (lambda: AffineComb(((0.5, Translate(np.zeros(4))), (0.5, ReflAffine(X_AXIS)))),
+     DimensionMismatchError, r"AffineComb mixes operators on R\^n for n in \[2, 4\]"),
+    (lambda: AffineComb(((0.5, Identity()), (0.25, ReflAffine(X_AXIS)))),
+     ValueError, "weights must sum to 1, got 0.75"),
+    (lambda: AffineComb(()), ValueError, "AffineComb requires at least one term"),
+    (lambda: Compose(()), ValueError, "Compose requires at least one operator"),
+    (lambda: OperatorSet(()), ValueError, "an operator set must contain at least one operator"),
+    (lambda: operators.reflected_resolvent_const([np.inf]), ValueError, "must be finite"),
+    (lambda: operators.reflected_resolvent_const(np.zeros((2, 2))), ValueError,
+     r"expected a 1-D vector, got shape \(2, 2\)"),
+], ids=["set-dims", "compose-dims", "comb-dims", "comb-weights", "comb-empty", "compose-empty",
+        "set-empty", "resolvent-inf", "resolvent-2d"])
+def test_constructors_keep_their_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_prefix_sharing_walk_equals_one_apply_per_member(apply_calls):
+    X = np.array(gaussian_cloud(2, 30, seed=9, scale=3.0) + [[0.0, 0.0], [-3.0, 0.0]])
+    T1, T2, T3 = ProjBall(Ball(np.zeros(2), 1.0)), ReflAffine(DIAG), ProjAffine(X_AXIS)
+    # (family, apply calls of the walk, of one apply per member); a node
+    # built by reflector_of is three calls, itself and its two terms
+    families = [
+        # {Id, T1, T2 T1, T3 T2 T1}: each letter once
+        (OperatorSet.prefix_words((T1, T2, T3)), 4, 1 + 1 + 3 + 4),
+        # a letter repeated in other positions shares only true prefixes
+        (OperatorSet((T1, Compose((T1, T2)), Compose((T2, T1)), Compose((T1, T2)))), 4,
+         1 + 3 + 3 + 3),
+        (OperatorSet.prefix_words((T1, T1)), 3, 1 + 1 + 3),
+        (gallery.scenario("ball-line-s2").operator_set, 1 + 3 + 1, 1 + 3 + 5),
+        (gallery.scenario("cone-line-s2").operator_set, 1 + 3 + 1, 1 + 3 + 5),
+        (gallery.scenario("ball-ball-s2-inclusions").operator_set, 1 + 3 + 3, 1 + 3 + 7),
+    ]
+    for S, walk_calls, member_calls in families:
+        apply_calls.clear()
+        walked = circummap._walk(S, X)
+        assert len(apply_calls) == walk_calls
+        apply_calls.clear()
+        want = np.array([operators.apply(op, X).T for op in S])
+        assert len(apply_calls) == member_calls
+        assert walked.shape == want.shape and walked.tobytes() == want.tobytes()
+        assert circummap._images([(S, X)], 2).tobytes() == want.tobytes()
+
+
 # -- family constructors ----------------------------------------------------------
 
 

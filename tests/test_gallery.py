@@ -356,13 +356,13 @@ def test_nan_reference_row_expects_no_circumcenter():
 
 def test_improperness_grid_is_one_kernel_call(monkeypatch):
     calls = []
-    real = circummap._exists_rows
+    real = circummap._kernel
 
-    def counted(P):
+    def counted(rows, P):
         calls.append(P.shape)
-        return real(P)
+        return real(rows, P)
 
-    monkeypatch.setattr(circummap, "_exists_rows", counted)
+    monkeypatch.setattr(circummap, "_kernel", counted)
     report = verify("relaxed-same-line-iff", seed=0)
     assert report.passed and report.checks == 49
     assert len(calls) == 1
@@ -371,17 +371,17 @@ def test_improperness_grid_is_one_kernel_call(monkeypatch):
 def test_fixed_point_residuals_come_from_one_kernel_call(monkeypatch, scalar_calls):
     s = scenario("ball-projector-fix")
     calls, recorded = [], []
-    real_rows, real_record = circummap._exists_rows, VerificationReport.record
+    real_rows, real_record = circummap._kernel, VerificationReport.record
 
-    def counted(P):
+    def counted(rows, P):
         calls.append(P.shape)
-        return real_rows(P)
+        return real_rows(rows, P)
 
     def spy(self, deviation, ok, inp, expected, got):
         recorded.append((inp, got))
         return real_record(self, deviation, ok, inp, expected, got)
 
-    monkeypatch.setattr(circummap, "_exists_rows", counted)
+    monkeypatch.setattr(circummap, "_kernel", counted)
     monkeypatch.setattr(VerificationReport, "record", spy)
     report = verify(s.name, seed=1)
     assert report.passed and scalar_calls == []
