@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circumcenter import CircumcenterOutcome, PointSet, _circumcenters, _dedup, circumcenter
-from .geometry import EQ_TOL, DimensionMismatchError, _check_same_dim, as_vector
+from .geometry import EQ_TOL, DimensionMismatchError, _check_same_dim, _row_norms, as_vector
 from .operators import (
     AffineComb,
     Compose,
@@ -337,17 +337,16 @@ def check_properness_sampled(S: OperatorSet, points) -> PropernessReport:
     return report
 
 
-def _residuals(S: OperatorSet, X) -> list:
-    """||x - CC_S(x)|| for every row ``x`` of ``X`` (N, n), None where the
+def _residuals(S: OperatorSet, X) -> np.ndarray:
+    """||x - CC_S(x)|| for every row ``x`` of ``X`` (N, n), NaN where the
     image has no circumcenter, from one :func:`cc_map_rows` call."""
-    exists, centers = cc_map_rows([(S, X)])
-    return [float(np.linalg.norm(x - c)) if ok else None
-            for x, c, ok in zip(X, centers, exists)]
+    return _row_norms(X - cc_map_rows([(S, X)])[1])
 
 
 def fixed_point_residual(S: OperatorSet, x) -> float | None:
     """Distance ||x - CC_S(x)||, or None when the image has no circumcenter."""
-    return _residuals(S, as_vector(x)[None])[0]
+    r = float(_residuals(S, as_vector(x)[None])[0])
+    return None if np.isnan(r) else r
 
 
 def demiclosedness_probe(S: OperatorSet, sequence, limit=None) -> DemiclosednessReport:
@@ -363,9 +362,11 @@ def demiclosedness_probe(S: OperatorSet, sequence, limit=None) -> Demiclosedness
         raise ValueError("sequence must be nonempty")
     limit = seq[-1] if limit is None else as_vector(limit)
     _check_same_dim(seq + [limit])
-    *residuals, limit_residual = _residuals(S, np.array(seq + [limit]))
-    if None in residuals:
+    *residuals, limit_residual = _residuals(S, np.array(seq + [limit])).tolist()
+    if np.isnan(residuals).any():
         raise ValueError("sequence leaves the domain of the mapping")
+    if np.isnan(limit_residual):
+        limit_residual = None
     threshold = 100.0 * EQ_TOL * (1.0 + np.linalg.norm(limit))
     fixed = limit_residual is not None and limit_residual <= threshold
     return DemiclosednessReport(residuals, limit, limit_residual, fixed,

@@ -26,7 +26,7 @@ from .circummap import (
     relaxation,
     residuals_vanish,
 )
-from .geometry import RANK_TOL
+from .geometry import RANK_TOL, _row_norms
 from .operators import (
     AffineComb,
     AffineSubspace,
@@ -102,7 +102,10 @@ class DomainSpec:
 @dataclass
 class ImpropernessIff:
     """Sampled improperness over a parameter grid must match the predicate;
-    every family of the grid is sampled at the same ``samples(seed)``."""
+    every family of the grid is sampled at the same ``samples(seed)``.
+    ``build`` runs for every verify, and the catalog's grids build their
+    families there from member nodes built once, one per parameter value,
+    so that families of one grid share nodes but nothing outlives a verify."""
 
     predicate: object
     grid: list
@@ -154,6 +157,12 @@ class Scenario:
 
 @dataclass
 class VerificationReport:
+    """The checks of one scenario: how many ran, the largest deviation any
+    of them recorded (NaN deviations are skipped), and an ``(input,
+    expected, got)`` triple per failed check, in check order.  A kind checks
+    all its probes as arrays and records them in one :meth:`record_rows`
+    call; :meth:`record` records one check."""
+
     scenario: str
     checks: int = 0
     max_deviation: float = 0.0
@@ -168,6 +177,16 @@ class VerificationReport:
         self.max_deviation = max(self.max_deviation, float(deviation))
         if not ok:
             self.failures.append((inp, expected, got))
+
+    def record_rows(self, deviations, ok, failure):
+        """:meth:`record` for every check i of the (N,) deviations and the
+        (N,) boolean array ``ok``, in order; ``failure(i)`` gives the
+        ``(input, expected, got)`` of a failed check i."""
+        self.checks += len(ok)
+        # the builtin max folds left and skips NaN, as repeated record calls do
+        deviations = np.asarray(deviations, dtype=float).tolist()
+        self.max_deviation = max([self.max_deviation, *deviations])
+        self.failures += [failure(i) for i in (~ok).nonzero()[0].tolist()]
 
 
 # -- shared constructions --------------------------------------------------------
@@ -569,6 +588,8 @@ def _build_catalog() -> list[Scenario]:
     # --- improperness criteria over parameter grids (same line twice)
     GRID = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
     U_same = X_AXIS
+    relaxed_refl = {a: relaxation(a, ReflAffine(U_same)) for a in GRID}
+    relaxed_proj = {a: relaxation(a, ProjAffine(U_same)) for a in GRID}
 
     def _off_line_samples(seed):
         return [np.array([0.3, 1.7]), np.array([-1.2, 0.4])] + [
@@ -584,7 +605,7 @@ def _build_catalog() -> list[Scenario]:
             predicate=lambda a: a[0] != 0.0 and a[1] != 0.0 and a[1] != a[0],
             grid=[(a1, a2) for a1 in GRID for a2 in GRID],
             build=lambda a: OperatorSet.with_identity(
-                (relaxation(ai, ReflAffine(U_same)) for ai in a), f"relaxed-same-line{a}"
+                (relaxed_refl[ai] for ai in a), f"relaxed-same-line{a}"
             ),
             samples=_off_line_samples,
         ),
@@ -605,7 +626,7 @@ def _build_catalog() -> list[Scenario]:
             predicate=_composed_pred,
             grid=[(a1, a2) for a1 in GRID for a2 in GRID],
             build=lambda a: OperatorSet.prefix_words(
-                (relaxation(ai, ReflAffine(U_same)) for ai in a), f"relaxed-composed{a}"
+                (relaxed_refl[ai] for ai in a), f"relaxed-composed{a}"
             ),
             samples=_off_line_samples,
         ),
@@ -625,7 +646,7 @@ def _build_catalog() -> list[Scenario]:
             predicate=_proj_comp_pred,
             grid=[(a1, a2) for a1 in GRID for a2 in GRID],
             build=lambda a: OperatorSet.prefix_words(
-                (relaxation(ai, ProjAffine(U_same)) for ai in a), f"relaxed-proj-composed{a}"
+                (relaxed_proj[ai] for ai in a), f"relaxed-proj-composed{a}"
             ),
             samples=_off_line_samples,
         ),
@@ -878,6 +899,8 @@ def _build_catalog() -> list[Scenario]:
 
     # --- reflected resolvents with closed forms
     NONNEG_GRID = [0.0, 0.5, 1.0, 2.0]
+    scaled_resolvents = {a: reflected_resolvent_scaled_id(a) for a in NONNEG_GRID}
+    const_resolvents = {a: reflected_resolvent_const(np.array([a])) for a in GRID}
 
     def _resolvent_samples(seed):
         return [np.array([1.0, 0.5]), np.array([-2.0, 3.0])] + gaussian_cloud(2, 3, seed, 2.0)
@@ -890,7 +913,7 @@ def _build_catalog() -> list[Scenario]:
             predicate=lambda a: a[0] != 0.0 and a[1] != 0.0 and a[0] != a[1],
             grid=[(a1, a2) for a1 in NONNEG_GRID for a2 in NONNEG_GRID],
             build=lambda a: OperatorSet.with_identity(
-                map(reflected_resolvent_scaled_id, a), f"scaled-resolvents{a}"
+                (scaled_resolvents[ai] for ai in a), f"scaled-resolvents{a}"
             ),
             samples=_resolvent_samples,
         ),
@@ -905,7 +928,7 @@ def _build_catalog() -> list[Scenario]:
             ),
             grid=[(a1, a2) for a1 in NONNEG_GRID for a2 in NONNEG_GRID],
             build=lambda a: OperatorSet.prefix_words(
-                map(reflected_resolvent_scaled_id, a), f"scaled-resolvents-comp{a}"
+                (scaled_resolvents[ai] for ai in a), f"scaled-resolvents-comp{a}"
             ),
             samples=_resolvent_samples,
         ),
@@ -922,7 +945,7 @@ def _build_catalog() -> list[Scenario]:
             predicate=lambda a: a[0] != 0.0 and a[1] != 0.0 and a[0] != a[1],
             grid=[(a1, a2) for a1 in GRID for a2 in GRID],
             build=lambda a: OperatorSet.with_identity(
-                (reflected_resolvent_const(np.array([ai])) for ai in a), f"const-resolvents{a}"
+                (const_resolvents[ai] for ai in a), f"const-resolvents{a}"
             ),
             samples=_const_samples,
         ),
@@ -935,8 +958,7 @@ def _build_catalog() -> list[Scenario]:
             predicate=lambda a: a[0] != 0.0 and a[1] != 0.0 and a[0] != -a[1],
             grid=[(a1, a2) for a1 in GRID for a2 in GRID],
             build=lambda a: OperatorSet.prefix_words(
-                (reflected_resolvent_const(np.array([ai])) for ai in a),
-                f"const-resolvents-comp{a}",
+                (const_resolvents[ai] for ai in a), f"const-resolvents-comp{a}"
             ),
             samples=_const_samples,
         ),
@@ -1047,20 +1069,14 @@ def scenario(name: str) -> Scenario:
 # -- verification ---------------------------------------------------------------
 
 
-def _rel_dev(got, want) -> float:
-    return float(np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want)))
+def _rel_devs(C, W) -> np.ndarray:
+    """|c - w| / (1 + |w|) for every row c of ``C`` and w of ``W`` (N, n)."""
+    return _row_norms(C - W) / (1.0 + _row_norms(W))
 
 
 def _rows(points, dim: int) -> np.ndarray:
     """The points as the rows of an (N, dim) array; no points give (0, dim)."""
-    return np.reshape(points, (len(points), dim))
-
-
-def _centers(S: OperatorSet, points, dim: int) -> list:
-    """``cc_map(S, x).center`` for every point, None where no circumcenter
-    exists, from one :func:`cc_map_rows` call."""
-    exists, centers = cc_map_rows([(S, _rows(points, dim))])
-    return [c if ok else None for ok, c in zip(exists.tolist(), centers)]
+    return np.array(points, dtype=float).reshape(len(points), dim)
 
 
 def verify(name: str, seed: int = 0) -> VerificationReport:
@@ -1078,28 +1094,27 @@ def verify_scenario(s: Scenario, seed: int = 0) -> VerificationReport:
     if isinstance(kind, ClosedFormMap):
         probes = kind.probes(seed)
         X = _rows(probes, s.dim)
-        for x, center, want in zip(probes, _centers(s.operator_set, X, s.dim), kind.reference(X)):
-            if np.isnan(want).all():
-                report.record(float(center is not None), center is None, x, None, center)
-            elif center is None:
-                report.record(1.0, False, x, want, None)
-            else:
-                dev = _rel_dev(center, want)
-                report.record(dev, dev <= kind.check_tol, x, want, center)
+        exists, C = cc_map_rows([(s.operator_set, X)])
+        W = kind.reference(X)
+        none = np.isnan(W).all(axis=1)  # rows where no circumcenter is expected
+        dev = np.where(none, exists, np.where(exists, _rel_devs(C, W), 1.0))
+        ok = np.where(none, ~exists, exists & (dev <= kind.check_tol))
+        report.record_rows(dev, ok, lambda i: (
+            probes[i], None if none[i] else W[i], C[i] if exists[i] else None))
     elif isinstance(kind, DomainSpec):
         probes = kind.probes(seed)
-        X = _rows(probes, s.dim)
-        for x, got in zip(probes, classify_points(s.operator_set, X).tolist()):
-            want = bool(kind.member(x))
-            report.record(float(want != got), want == got, x, want, got)
+        got = classify_points(s.operator_set, _rows(probes, s.dim))
+        want = np.array([bool(kind.member(x)) for x in probes], dtype=bool)
+        ok = want == got
+        report.record_rows(~ok, ok, lambda i: (probes[i], bool(want[i]), bool(got[i])))
     elif isinstance(kind, ImpropernessIff):
         # Every family of the grid at the same samples in one kernel call.
         X = _rows(kind.samples(seed), s.dim)
         inside, _ = cc_map_rows([(kind.build(params), X) for params in kind.grid])
-        for params, rows in zip(kind.grid, inside.reshape(len(kind.grid), len(X))):
-            improper = not rows.all()
-            want = bool(kind.predicate(params))
-            report.record(float(want != improper), want == improper, params, want, improper)
+        improper = ~inside.reshape(len(kind.grid), len(X)).all(axis=1)
+        want = np.array([bool(kind.predicate(params)) for params in kind.grid], dtype=bool)
+        ok = want == improper
+        report.record_rows(~ok, ok, lambda i: (kind.grid[i], bool(want[i]), bool(improper[i])))
     elif isinstance(kind, SequenceLimit):
         _verify_sequence(s, kind, report)
     elif isinstance(kind, IterationCounts):
@@ -1112,36 +1127,47 @@ def verify_scenario(s: Scenario, seed: int = 0) -> VerificationReport:
         # The fixed and the not-fixed probes' residuals in one kernel call.
         fixed = list(kind.fixed)
         probes = fixed + list(kind.not_fixed(seed))
-        residuals = _residuals(s.operator_set, _rows(probes, s.dim))
-        for x, r in zip(fixed, residuals):
-            ok = r is not None and r <= 1e-9 * (1.0 + np.linalg.norm(x))
-            report.record(r if r is not None else float("inf"), ok, x, 0.0, r)
-        for x, r in zip(probes[len(fixed):], residuals[len(fixed):]):
-            ok = r is not None and r > FIXED_POINT_SEPARATION
-            report.record(0.0 if ok else 1.0, ok, x, f"> {FIXED_POINT_SEPARATION}", r)
+        X = _rows(probes, s.dim)
+        r = _residuals(s.operator_set, X)  # NaN where no circumcenter exists
+
+        def failure(i, expected):
+            return probes[i], expected, None if np.isnan(r[i]) else float(r[i])
+
+        F = len(fixed)
+        ok = r[:F] <= 1e-9 * (1.0 + _row_norms(X[:F]))
+        report.record_rows(np.where(np.isnan(r[:F]), np.inf, r[:F]), ok,
+                           lambda i: failure(i, 0.0))
+        ok = r[F:] > FIXED_POINT_SEPARATION
+        report.record_rows(~ok, ok, lambda i: failure(F + i, f"> {FIXED_POINT_SEPARATION}"))
         if kind.proper_probes is not None:
-            probes = kind.proper_probes(seed)
-            X = _rows(probes, s.dim)
-            for x, ok in zip(probes, classify_points(s.operator_set, X).tolist()):
-                report.record(0.0 if ok else 1.0, ok, x, "exists", ok)
+            proper = kind.proper_probes(seed)
+            ok = classify_points(s.operator_set, _rows(proper, s.dim))
+            report.record_rows(~ok, ok, lambda i: (proper[i], "exists", False))
     else:
         raise TypeError(f"unknown expectation kind {type(kind).__name__}")
     return report
 
 
 def _verify_sequence(s: Scenario, kind: SequenceLimit, report: VerificationReport):
-    limit = [] if kind.limit is None else [kind.limit]
-    centers = _centers(s.operator_set, list(kind.points) + limit, s.dim)
-    residuals = []
-    for x, center in zip(kind.points, centers):
-        if center is None:
-            report.record(1.0, False, x, "exists", None)
-            continue
-        residuals.append(float(np.linalg.norm(x - center)))
-        if kind.cc_values is not None:
-            want = kind.cc_values(x)
-            dev = _rel_dev(center, want)
-            report.record(dev, dev <= SEQUENCE_CHECK_TOL, x, want, center)
+    points = list(kind.points)
+    n = len(points)
+    P = _rows(points + ([] if kind.limit is None else [kind.limit]), s.dim)
+    exists, C = cc_map_rows([(s.operator_set, P)])
+    norms = _row_norms(P - C)  # NaN where no circumcenter exists
+    found = exists[:n]
+    W = np.full((n, s.dim), np.nan)
+    if kind.cc_values is not None:
+        W[found] = _rows([kind.cc_values(points[i]) for i in np.flatnonzero(found)], s.dim)
+    dev = np.where(found, _rel_devs(C[:n], W), 1.0)
+    ok = found & (dev <= SEQUENCE_CHECK_TOL)
+    # without cc_values only the points without a center are checked
+    checked = np.arange(n) if kind.cc_values is not None else np.flatnonzero(~found)
+
+    def failure(i):
+        return (points[i], W[i], C[i]) if found[i] else (points[i], "exists", None)
+
+    report.record_rows(dev[checked], ok[checked], lambda j: failure(checked[j]))
+    residuals = norms[:n][found].tolist()
     if kind.expect_vanishing is not None and residuals:
         vanished = residuals_vanish(residuals)
         report.record(
@@ -1152,16 +1178,16 @@ def _verify_sequence(s: Scenario, kind: SequenceLimit, report: VerificationRepor
             vanished,
         )
     if kind.limit is not None:
-        center = centers[-1]
+        center = C[-1] if exists[-1] else None
         if kind.map_at_limit is not None:
             if center is None:
                 report.record(1.0, False, kind.limit, kind.map_at_limit, None)
             else:
-                dev = _rel_dev(center, kind.map_at_limit)
+                dev = _rel_devs(C[-1:], _rows([kind.map_at_limit], s.dim))[0]
                 report.record(dev, dev <= SEQUENCE_CHECK_TOL, kind.limit, kind.map_at_limit,
                               center)
         if kind.limit_residual is not None:
-            got = None if center is None else float(np.linalg.norm(kind.limit - center))
+            got = None if center is None else float(norms[-1])
             dev = float("inf") if got is None else abs(got - kind.limit_residual)
             report.record(dev, dev <= LIMIT_RESIDUAL_TOL, "limit-residual",
                           kind.limit_residual, got)

@@ -46,6 +46,15 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def _row_norms(D) -> np.ndarray:
+    """The Euclidean norm of every row of ``D`` (N, n), bit for bit what
+    ``np.linalg.norm`` gives the row alone: the square root of the row's dot
+    product with itself, which a stacked (1, n) @ (n, 1) matmul takes from the
+    same BLAS dot once the rows are contiguous."""
+    D = np.ascontiguousarray(D, dtype=float)
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+
+
 def _check_same_dim(vectors) -> int:
     dims = {len(v) for v in vectors}
     if len(dims) > 1:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from circumlib.circummap import (
     evaluate_set,
     fixed_point_residual,
     gaussian_cloud,
+    relaxation,
     subspace_probes,
 )
 from circumlib.gallery import (
@@ -36,9 +39,12 @@ from circumlib.operators import (
     AffineSubspace,
     Compose,
     Identity,
+    ProjAffine,
     ReflAffine,
     Translate,
     intersect_affine,
+    reflected_resolvent_const,
+    reflected_resolvent_scaled_id,
 )
 
 # the reference benchmark row for the line/plane table cannot be reproduced
@@ -371,25 +377,27 @@ def test_improperness_grid_is_one_kernel_call(monkeypatch):
 def test_fixed_point_residuals_come_from_one_kernel_call(monkeypatch, scalar_calls):
     s = scenario("ball-projector-fix")
     calls, recorded = [], []
-    real_rows, real_record = circummap._kernel, VerificationReport.record
+    real_rows, real_residuals = circummap._kernel, gallery._residuals
 
     def counted(rows, P):
         calls.append(P.shape)
         return real_rows(rows, P)
 
-    def spy(self, deviation, ok, inp, expected, got):
-        recorded.append((inp, got))
-        return real_record(self, deviation, ok, inp, expected, got)
+    def spy(S, X):
+        r = real_residuals(S, X)
+        recorded.extend(zip(X, r.tolist()))
+        return r
 
     monkeypatch.setattr(circummap, "_kernel", counted)
-    monkeypatch.setattr(VerificationReport, "record", spy)
+    # the checks are computed from these residuals, as arrays
+    monkeypatch.setattr(gallery, "_residuals", spy)
     report = verify(s.name, seed=1)
     assert report.passed and scalar_calls == []
     # one call for the fixed and not-fixed probes, one for the proper probes
     assert len(calls) == 2
     count = len(s.expected.fixed) + len(s.expected.not_fixed(1))
-    assert count > 1
-    for x, got in recorded[:count]:
+    assert count > 1 and len(recorded) == count
+    for x, got in recorded:
         assert got == fixed_point_residual(s.operator_set, x)
 
 
@@ -447,3 +455,230 @@ def test_classified_failures_record_python_bools():
             fixed=[], not_fixed=lambda seed: [], proper_probes=lambda seed: [x]), S), 0)
     ((inp, want, got),) = report.failures
     assert inp is x and want == "exists" and got is False
+
+
+# -- checks recorded as arrays --------------------------------------------------------
+
+
+@pytest.mark.parametrize("start", [0.0, -1.0, 2.5, float("nan")])
+@pytest.mark.parametrize("deviations", [
+    [], [np.nan], [np.nan, 0.5, np.nan], [0.0, -0.0], [-0.0, 0.0], [np.inf, np.nan],
+    [-np.inf, 1e-300, np.nan, 3.0, 3.0], [2.5, -0.0, 0.0, 1.0],
+])
+def test_record_rows_equals_a_loop_of_record(start, deviations):
+    dev = np.array(deviations, dtype=float)
+    ok = np.arange(len(dev)) % 3 != 1
+
+    def failure(i):
+        return (f"input {i}", i, repr(dev[i]))
+
+    for given in (dev, ~ok):  # deviations as floats, or as the flags of a yes/no check
+        batched = VerificationReport("rows", max_deviation=start)
+        batched.record_rows(given, ok, failure)
+        looped = VerificationReport("loop", max_deviation=start)
+        for i, d in enumerate(given.tolist()):
+            looped.record(d, ok[i], *failure(i))
+        assert batched.checks == looped.checks == len(dev)
+        assert repr(batched.max_deviation) == repr(looped.max_deviation)
+        assert type(batched.max_deviation) is float
+        assert batched.failures == looped.failures
+
+
+def _rel_dev(got, want) -> float:
+    return float(np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want)))
+
+
+def _loop_verify(s, seed):
+    """verify_scenario as one record call per probe, reading the same
+    cc_map_rows and classify_points arrays: the reference for the checks
+    recorded as arrays."""
+    report = VerificationReport(scenario=s.name)
+    kind, S = s.expected, s.operator_set
+
+    def centers(points):
+        exists, C = cc_map_rows([(S, np.reshape(points, (len(points), s.dim)))])
+        return [c if ok else None for ok, c in zip(exists.tolist(), C)]
+
+    def residuals(points):
+        X = np.reshape(points, (len(points), s.dim))
+        exists, C = cc_map_rows([(S, X)])
+        return [float(np.linalg.norm(x - c)) if ok else None for x, c, ok in zip(X, C, exists)]
+
+    if isinstance(kind, ClosedFormMap):
+        probes = kind.probes(seed)
+        X = np.reshape(probes, (len(probes), s.dim))
+        for x, center, want in zip(probes, centers(probes), kind.reference(X)):
+            if np.isnan(want).all():
+                report.record(float(center is not None), center is None, x, None, center)
+            elif center is None:
+                report.record(1.0, False, x, want, None)
+            else:
+                dev = _rel_dev(center, want)
+                report.record(dev, dev <= kind.check_tol, x, want, center)
+    elif isinstance(kind, DomainSpec):
+        probes = kind.probes(seed)
+        X = np.reshape(probes, (len(probes), s.dim))
+        for x, got in zip(probes, classify_points(S, X).tolist()):
+            want = bool(kind.member(x))
+            report.record(float(want != got), want == got, x, want, got)
+    elif isinstance(kind, ImpropernessIff):
+        samples = kind.samples(seed)
+        X = np.reshape(samples, (len(samples), s.dim))
+        inside, _ = cc_map_rows([(kind.build(params), X) for params in kind.grid])
+        for params, rows in zip(kind.grid, inside.reshape(len(kind.grid), len(X))):
+            improper = not rows.all()
+            want = bool(kind.predicate(params))
+            report.record(float(want != improper), want == improper, params, want, improper)
+    elif isinstance(kind, SequenceLimit):
+        limit = [] if kind.limit is None else [kind.limit]
+        found = centers(list(kind.points) + limit)
+        trend = []
+        for x, center in zip(kind.points, found):
+            if center is None:
+                report.record(1.0, False, x, "exists", None)
+                continue
+            trend.append(float(np.linalg.norm(x - center)))
+            if kind.cc_values is not None:
+                want = kind.cc_values(x)
+                dev = _rel_dev(center, want)
+                report.record(dev, dev <= SEQUENCE_CHECK_TOL, x, want, center)
+        if kind.expect_vanishing is not None and trend:
+            vanished = trend[-1] <= max(1e-6, 0.05 * trend[0])
+            report.record(trend[-1], vanished == kind.expect_vanishing, "residual-trend",
+                          kind.expect_vanishing, vanished)
+        if kind.limit is not None:
+            center = found[-1]
+            if kind.map_at_limit is not None:
+                if center is None:
+                    report.record(1.0, False, kind.limit, kind.map_at_limit, None)
+                else:
+                    dev = _rel_dev(center, kind.map_at_limit)
+                    report.record(dev, dev <= SEQUENCE_CHECK_TOL, kind.limit,
+                                  kind.map_at_limit, center)
+            if kind.limit_residual is not None:
+                got = None if center is None else float(np.linalg.norm(kind.limit - center))
+                dev = float("inf") if got is None else abs(got - kind.limit_residual)
+                report.record(dev, dev <= LIMIT_RESIDUAL_TOL, "limit-residual",
+                              kind.limit_residual, got)
+    elif isinstance(kind, FixedPointSpec):
+        fixed = list(kind.fixed)
+        probes = fixed + list(kind.not_fixed(seed))
+        r = residuals(probes)
+        for x, res in zip(fixed, r):
+            ok = res is not None and res <= 1e-9 * (1.0 + np.linalg.norm(x))
+            report.record(res if res is not None else float("inf"), ok, x, 0.0, res)
+        for x, res in zip(probes[len(fixed):], r[len(fixed):]):
+            ok = res is not None and res > FIXED_POINT_SEPARATION
+            report.record(0.0 if ok else 1.0, ok, x, f"> {FIXED_POINT_SEPARATION}", res)
+        if kind.proper_probes is not None:
+            probes = kind.proper_probes(seed)
+            X = np.reshape(probes, (len(probes), s.dim))
+            for x, ok in zip(probes, classify_points(S, X).tolist()):
+                report.record(0.0 if ok else 1.0, ok, x, "exists", ok)
+    else:
+        return verify_scenario(s, seed)  # the benchmark rows record one check per method
+    return report
+
+
+def _exact(value):
+    """A value with its type and bits, so that equal results compare equal
+    only when they are the same objects' values bit for bit."""
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    return (type(value).__name__, repr(value))
+
+
+# three distinct colinear images: no circumcenter anywhere
+NOWHERE = OperatorSet((Identity(), Translate([1.0, 0.0]), Translate([2.0, 0.0])))
+
+
+def _corrupted(s):
+    """Copies of the scenario whose expectations are wrong, so that every
+    kind records failures, plus copies on a family with no circumcenter."""
+    kind = s.expected
+    if isinstance(kind, ClosedFormMap):
+        wrong = [replace(kind, reference=lambda X: kind.reference(X) / 3.0)]
+    elif isinstance(kind, DomainSpec):
+        wrong = [replace(kind, member=lambda x: not kind.member(x))]
+    elif isinstance(kind, ImpropernessIff):
+        wrong = [replace(kind, predicate=lambda a: not kind.predicate(a))]
+    elif isinstance(kind, SequenceLimit):
+        wrong = [replace(kind, cc_values=lambda x: kind.cc_values(x) / 3.0,
+                         map_at_limit=kind.map_at_limit / 3.0,
+                         limit_residual=(kind.limit_residual or 0.0) + 1.0,
+                         expect_vanishing=not kind.expect_vanishing),
+                 replace(kind, cc_values=None)]
+    elif isinstance(kind, FixedPointSpec):
+        wrong = [replace(kind, fixed=kind.not_fixed(0), not_fixed=lambda seed: list(kind.fixed))]
+    else:
+        return []
+    cases = [replace(s, name=f"{s.name}-corrupted", expected=w) for w in wrong]
+    if s.dim == 2 and not isinstance(kind, ImpropernessIff):
+        cases += [replace(c, name=f"{c.name}-nowhere", operator_set=NOWHERE)
+                  for c in [s] + cases]
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_array_checks_equal_the_per_probe_loop(seed):
+    for s in catalog():
+        for case in [s] + (_corrupted(s) if seed < 2 else []):
+            got, want = verify_scenario(case, seed), _loop_verify(case, seed)
+            assert got.checks == want.checks, case.name
+            assert repr(got.max_deviation) == repr(want.max_deviation), case.name
+            assert [_exact(f) for f in got.failures] == [_exact(f) for f in want.failures]
+
+
+# the grid scenarios whose families are built from one member node per
+# parameter, with freshly built member nodes for the same parameters
+FRESH_GRID_MEMBERS = {
+    "relaxed-same-line-iff": lambda a: OperatorSet.with_identity(
+        relaxation(ai, ReflAffine(gallery.X_AXIS)) for ai in a),
+    "relaxed-composed-iff": lambda a: OperatorSet.prefix_words(
+        [relaxation(ai, ReflAffine(gallery.X_AXIS)) for ai in a]),
+    "relaxed-projectors-same-line-iff": lambda a: OperatorSet.prefix_words(
+        [relaxation(ai, ProjAffine(gallery.X_AXIS)) for ai in a]),
+    "scaled-id-resolvents": lambda a: OperatorSet.with_identity(
+        map(reflected_resolvent_scaled_id, a)),
+    "scaled-id-resolvents-composed": lambda a: OperatorSet.prefix_words(
+        map(reflected_resolvent_scaled_id, a)),
+    "const-resolvents": lambda a: OperatorSet.with_identity(
+        reflected_resolvent_const(np.array([ai])) for ai in a),
+    "const-resolvents-composed": lambda a: OperatorSet.prefix_words(
+        [reflected_resolvent_const(np.array([ai])) for ai in a]),
+}
+
+
+def _parameter_nodes(S):
+    """The member nodes of a grid family {Id, T_a1, T_a2} or {Id, T_a1, T_a2 T_a1}."""
+    last = S.ops[2]
+    return S.ops[1], (last.ops[0] if isinstance(last, Compose) else last)
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_GRID_MEMBERS))
+def test_grid_families_share_their_member_nodes(name):
+    s = scenario(name)
+    kind, n = s.expected, s.dim
+    families = [kind.build(params) for params in kind.grid]
+    nodes = {}  # parameter -> the member nodes built for it, by identity
+    for params, S in zip(kind.grid, families):
+        for a, node in zip(params, _parameter_nodes(S)):
+            nodes.setdefault(a, {})[id(node)] = node
+    assert all(len(built) == 1 for built in nodes.values())
+    assert len({i for built in nodes.values() for i in built}) == len(nodes)
+    # a second build of the grid reuses the same nodes
+    again = [kind.build(params) for params in kind.grid]
+    assert all(a is b for S, T in zip(families, again)
+               for a, b in zip(_parameter_nodes(S), _parameter_nodes(T)))
+    fresh = [FRESH_GRID_MEMBERS[name](params) for params in kind.grid]
+    assert not set(map(id, _parameter_nodes(fresh[0]))) & {i for b in nodes.values() for i in b}
+    for S, T in zip(families, fresh):
+        assert S.shape == T.shape
+        assert S._compiled(n).tobytes() == T._compiled(n).tobytes()
+    # compiled together, as one verify compiles them
+    X = np.reshape(kind.samples(0), (-1, n))
+    shared = circummap._outcomes([(S, X) for S in families])
+    for out, want in zip(shared, circummap._outcomes([(T, X) for T in fresh]), strict=True):
+        assert out.images.tobytes() == want.images.tobytes()

@@ -8,6 +8,7 @@ from circumlib.geometry import (
     EQ_TOL,
     RANK_TOL,
     DimensionMismatchError,
+    _row_norms,
     affine_hull_basis,
     orthonormal_basis,
     orthonormal_complement,
@@ -157,3 +158,19 @@ def test_orthonormal_complement_roundtrip():
 
 def test_thresholds_are_pinned():
     assert (RANK_TOL, EQ_TOL, DUP_TOL) == (1e-10, 1e-9, 1e-12)
+
+
+def test_row_norms_equal_np_linalg_norm_bit_for_bit():
+    # Relative deviations and residuals are printed to 17 digits, so the
+    # batched norm must keep every bit of the per-row norm.  If a numpy or
+    # BLAS build sums the stacked dot in another order, this fails loudly
+    # instead of moving those digits.
+    rng = np.random.default_rng(20240)
+    for _ in range(400):
+        N, n = int(rng.integers(0, 71)), int(rng.integers(1, 5))
+        D = 10.0 ** rng.uniform(-8, 8) * rng.standard_normal((N, n))
+        for rows in (D, np.asfortranarray(D), D[::-1]):
+            got = _row_norms(rows)
+            want = np.array([np.linalg.norm(r) for r in rows]).reshape(N)
+            assert got.shape == (N,)
+            assert got.tobytes() == want.tobytes()
