@@ -20,6 +20,7 @@ from .circumcenter import _dedup, circumcenter_three
 from .circummap import (
     OperatorSet,
     _residuals,
+    _walk,
     cc_map_rows,
     classify_points,
     gaussian_cloud,
@@ -202,17 +203,13 @@ def _line_points(U: AffineSubspace, coeffs):
     return [U.anchor + float(c) * U.basis[0] for c in coeffs]
 
 
-def _image_stack(S: OperatorSet, X) -> np.ndarray:
-    """The images of the rows of ``X`` (N, n) under every member of ``S``,
-    by a tree walk, as (N, m, n)."""
-    return np.stack([apply(op, X) for op in S], axis=1)
-
-
-def _hull_projection(Y, Z) -> np.ndarray:
-    """P_{aff(Y_r)}(Z_r) for every row r of the image stack ``Y`` (N, m, n)
-    and the points ``Z`` (N, n).  numpy's SVD decides the hull's rank (the
-    ``rcond`` cutoff, which numpy 1.x also has), so this path shares nothing
-    with the kernel's Gram-Schmidt."""
+def _hull_projection(images, Z) -> np.ndarray:
+    """P_{aff(Y_r)}(Z_r) for the images Y_r of every row r of ``images``
+    (m, n, N), as :func:`circummap._walk` gives them, and the points ``Z``
+    (N, n).  numpy's SVD decides the hull's rank (the ``rcond`` cutoff, which
+    numpy 1.x also has), so this path shares nothing with the kernel's
+    Gram-Schmidt."""
+    Y = np.ascontiguousarray(images.transpose(2, 0, 1))
     anchor = Y[:, 0]
     A = np.swapaxes(Y[:, 1:] - anchor[:, None], 1, 2)
     coef = np.linalg.pinv(A, rcond=RANK_TOL) @ (Z - anchor)[..., None]
@@ -223,7 +220,7 @@ def _hull_projection_reference(S: OperatorSet, subspaces):
     """Reference rows P_{aff(S(x))}(P_{cap U_i} x) for identity-containing
     reflector-word families."""
     meet = intersect_affine(subspaces)
-    return lambda X: _hull_projection(_image_stack(S, X), meet.project(X))
+    return lambda X: _hull_projection(_walk(S, X), meet.project(X))
 
 
 # -- catalog -----------------------------------------------------------------
@@ -502,12 +499,12 @@ def _build_catalog() -> list[Scenario]:
     four_meet = intersect_affine([X_AXIS, U_skew])
 
     def _four_reference(X):
-        Y = _image_stack(S_four, X)
-        want = _hull_projection(Y, four_meet.project(X))
+        images = _walk(S_four, X)
+        want = _hull_projection(images, four_meet.project(X))
         # the images PointSet keeps: one, two or three take their own form
-        keep = _dedup(Y.transpose(1, 2, 0))[0].T
-        for r in np.flatnonzero(keep.sum(axis=1) < 4):
-            pts = Y[r, keep[r]]
+        keep = _dedup(images)[0]
+        for r in np.flatnonzero(keep.sum(axis=0) < 4):
+            pts = images[keep[:, r], :, r]
             if len(pts) == 3:
                 center = circumcenter_three(*pts).center
                 want[r] = np.nan if center is None else center
