@@ -170,9 +170,6 @@ class AffineSubspace:
         comp = orthonormal_complement(list(self.basis), self.dim_ambient)
         return AffineSubspace(np.zeros(self.dim_ambient), comp)
 
-    def translate(self, v) -> "AffineSubspace":
-        return AffineSubspace(self.anchor + as_vector(v), self.basis)
-
     def __repr__(self):
         return f"AffineSubspace(anchor={self.anchor.tolist()}, dim={self.dim})"
 
