@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (DUP_TOL, EQ_TOL, RANK_TOL, _check_same_dim, affine_hull_basis, as_vector,
-                       orthonormal_basis)
+from .geometry import (DUP_TOL, EQ_TOL, RANK_TOL, _check_same_dim, _dot, _norms, _pick,
+                       _pivoted_gram_schmidt, as_vector, orthonormal_basis)
 
 __all__ = [
     "PointSet",
@@ -99,35 +99,6 @@ def circumcenter(K: PointSet) -> CircumcenterOutcome:
     return CircumcenterOutcome.found(center[:, 0], radius[0], indices)
 
 
-def _dot(u, v):
-    """Inner products of rows-last arrays (..., n, N) over their coordinate
-    axis, accumulated one coordinate at a time.  Both evaluations below sum in
-    that order, so they agree bit for bit.  One accumulate costs fewer calls
-    than the loop, but its inner loop runs along the strided coordinate axis.
-    With :func:`_sum_points` switched the same way, on a 2-vCPU x86_64 VM
-    (``BENCH_20.json``, ``cutoff_3_points_us``) the accumulate form made the
-    three-point kernel faster at every N <= 32 measured (99 against 116 us at
-    N = 1 for n = 2, 99 against 134 us for n = 3), and the loop was faster
-    from N = 64 for n = 2 and N = 128 for n = 3."""
-    if u.shape[-1] <= 16:
-        return np.add.accumulate(u * v, axis=-2)[..., -1, :]
-    out = u[..., 0, :] * v[..., 0, :]
-    for k in range(1, u.shape[-2]):
-        out += u[..., k, :] * v[..., k, :]
-    return out
-
-
-def _norms(v):
-    """Euclidean norms of rows-last arrays (..., n, N)."""
-    return np.sqrt(_dot(v, v))
-
-
-def _pick(A, i, rows):
-    """``A[i[r], :, r]`` for every row r of ``A`` (m, n, N), as (n, N) in C
-    order, so that later steps run along the contiguous row axis."""
-    return np.ascontiguousarray(A[i, :, rows].T)
-
-
 @functools.lru_cache
 def _pairs(m: int):
     """Every pair (j, i < j) of m points once, grouped by j, as the index
@@ -181,13 +152,10 @@ def _exists_rows(P):
     taken to the anchor ``x_a``, the earlier point of the closest kept pair
     (the first such pair of :func:`_pairs` on ties), so that the short
     differences of a tight cluster far from the other points are exact.
-    Column-pivoted Gram-Schmidt with one reorthogonalization pass makes the
-    only rank decision: each step takes the remaining difference with the
-    largest residual norm (the lowest index on ties); a residual norm at most
-    ``RANK_TOL`` times the largest difference norm ends the row, and a
-    candidate whose reorthogonalized norm is at most that is dropped while
-    the search goes on.  In pivot order ``R = D Q^T`` is lower triangular,
-    and the candidate
+    The rank rule, :func:`geometry._pivoted_gram_schmidt` with threshold
+    ``RANK_TOL`` times the largest difference norm, makes the only rank
+    decision.  In pivot order ``R = D Q^T`` is lower triangular, and the
+    candidate
 
         c = x_a + Q^T a,   R a = 1/2 (|d_1|^2, ..., |d_t|^2),
 
@@ -234,9 +202,9 @@ def _circumcenters(P, keep, dist):
             np.subtract(x3, x1, out=uv[1])
             offset, steps = _pivot_three(uv, second, 3 - first - second, active)
         else:
-            remaining = keep.copy()
+            remaining = keep & active
             remaining[first, rows] = False
-            offset, steps = _pivot_search(P - x1, remaining, active)
+            offset, steps = _pivot_search(P - x1, remaining)
         center = np.where(active, x1 + offset, center)
         pivots += steps
     dists = _norms(P - center)
@@ -261,45 +229,20 @@ def _sum_points(A):
     return out
 
 
-def _pivot_search(D, remaining, active):
+def _pivot_search(D, remaining):
     """The offset ``Q^T a`` of the candidate from the anchor, and each step's
     accepted point (-1 where there is none), for the differences ``D``
-    (m, n, N) of the ``remaining`` (m, N) points on the ``active`` rows;
-    ``remaining`` is updated in place."""
-    m, _, N = D.shape
-    rows = np.arange(N)
+    (m, n, N) of the ``remaining`` (m, N) points: the rank rule's steps, then
+    forward substitution on them.  ``remaining`` is updated in place."""
     D = D * remaining[:, None]
-    norms = _norms(D)
-    threshold = RANK_TOL * norms.max(axis=0)
-    residuals = D
-    Q, a, steps = [], [], []
-    for k in range(m - 1):
-        if k:
-            norms = _norms(residuals)
-        # The remaining difference with the largest residual norm, the lowest
-        # index on ties: its residual q and the difference d itself.
-        norms = np.where(remaining, norms, -1.0)
-        best = norms.argmax(axis=0)
-        active = active & (norms.max(axis=0) > threshold)
-        if not active.any():
-            # Every row has reached its rank; later steps change nothing.
-            break
-        q, d = _pick(residuals, best, rows), _pick(D, best, rows)
-        # Second orthogonalization pass stabilizes nearly dependent inputs.
-        for b in Q:
-            q = q - _dot(q, b) * b
-        nq = _norms(q)
-        accept = active & (nq > threshold)
-        # A dropped candidate adds a zero direction and a = 0, which change
-        # nothing.  Forward substitution, with R[k, j] = <d, Q[j]>:
-        q = np.where(accept, q / np.where(accept, nq, 1.0), 0.0)
+    Q, steps, picked = _pivoted_gram_schmidt(D, RANK_TOL * _norms(D).max(axis=0), remaining)
+    # A dropped candidate has a zero direction and a = 0, which change
+    # nothing.  Forward substitution, with R[k, j] = <d, Q[j]>:
+    a = []
+    for q, step, d in zip(Q, steps, picked):
+        accept = step >= 0
         rhs = 0.5 * _dot(d, d) - sum(_dot(d, b) * aj for b, aj in zip(Q, a))
         a.append(np.where(accept, rhs / np.where(accept, _dot(d, q), 1.0), 0.0))
-        Q.append(q)
-        steps.append(np.where(accept, best, -1))
-        if k < m - 2:
-            remaining[best, rows] = False
-            residuals = residuals - _dot(residuals, q)[:, None] * q
     return sum(aj * q for aj, q in zip(a, Q)), steps
 
 
@@ -353,12 +296,8 @@ def circumcenter_three(x, y, z) -> CircumcenterOutcome:
         / ( 2 (|y-x|^2 |z-x|^2 - <y-x, z-x>^2) ).
     """
     x, y, z = as_vector(x), as_vector(y), as_vector(z)
-    scale = max(np.linalg.norm(x), np.linalg.norm(y), np.linalg.norm(z), 1.0)
-    if (
-        np.linalg.norm(x - y) <= DUP_TOL * scale
-        or np.linalg.norm(x - z) <= DUP_TOL * scale
-        or np.linalg.norm(y - z) <= DUP_TOL * scale
-    ):
+    _check_same_dim((x, y, z))
+    if not _dedup(np.array([x, y, z])[..., None])[0].all():
         raise ValueError("points must be pairwise distinct")
     if len(orthonormal_basis([y - x, z - x])[0]) < 2:
         return CircumcenterOutcome.not_found()
@@ -378,34 +317,30 @@ def circumcenter_three(x, y, z) -> CircumcenterOutcome:
 def circumcenter_oracle(K: PointSet) -> CircumcenterOutcome:
     """Independent brute-force circumcenter check.
 
-    Parametrizes ``p = anchor + B lambda`` over the affine hull, imposes every
-    linear equidistance condition ``2 <p, x_j - x_1> = |x_j|^2 - |x_1|^2`` by
-    least squares, and accepts only when every equation's residual is at most
-    ``EQ_TOL`` times the squared data scale.  Shares no solve path with
-    :func:`circumcenter` (SVD least squares vs a pivoted Gram-Schmidt factor).
+    Takes an orthonormal basis ``B`` of the affine hull's directions from
+    numpy's SVD of the differences ``x_j - x_1`` (the singular directions
+    above ``RANK_TOL`` times the largest singular value), parametrizes
+    ``p = x_1 + B^T lambda``, imposes every linear equidistance condition
+    ``2 <p, x_j - x_1> = |x_j|^2 - |x_1|^2`` by least squares, and accepts
+    only when every equation's residual is at most ``EQ_TOL`` times the
+    squared data scale.  It shares no code with :func:`circumcenter`: neither
+    the rank rule (SVD against pivoted Gram-Schmidt) nor the solve (least
+    squares against forward substitution).
     """
     pts = K.points
     if len(pts) == 1:
         return CircumcenterOutcome.found(pts[0], 0.0, (0,))
-    anchor, basis = affine_hull_basis(pts)
     x1 = pts[0]
-    rows = []
-    rhs = []
-    for xj in pts[1:]:
-        d = xj - x1
-        rows.append(2.0 * np.array([np.dot(b, d) for b in basis]))
-        rhs.append(np.dot(xj, xj) - np.dot(x1, x1) - 2.0 * np.dot(anchor, d))
-    A = np.array(rows).reshape(len(rhs), len(basis))
-    rhs = np.array(rhs)
-    if len(basis) == 0:
-        coeff = np.zeros(0)
-    else:
-        coeff, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    center = anchor + (np.array(basis).T @ coeff if len(basis) else 0.0)
+    D = pts[1:] - x1
+    _, sv, Vt = np.linalg.svd(D, full_matrices=False)
+    B = Vt[sv > RANK_TOL * sv[0]]
+    A = 2.0 * D @ B.T
+    rhs = np.array([np.dot(xj, xj) - np.dot(x1, x1) - 2.0 * np.dot(x1, d) for xj, d in zip(pts[1:], D)])
+    coeff, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    center = x1 + B.T @ coeff
 
     scale = 1.0 + max(np.linalg.norm(p) for p in pts)
-    residuals = np.abs(A @ coeff - rhs) if len(rhs) else np.zeros(0)
-    if residuals.size and residuals.max() > EQ_TOL * scale**2:
+    if np.abs(A @ coeff - rhs).max() > EQ_TOL * scale**2:
         return CircumcenterOutcome.not_found()
     dists = np.linalg.norm(pts - center, axis=1)
     return CircumcenterOutcome.found(center, float(dists.mean()), tuple(range(len(pts))))

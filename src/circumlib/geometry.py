@@ -1,10 +1,12 @@
-"""Small dense linear algebra: rank-revealing orthogonalization, orthogonal
-complements, affine-hull bases, and the three thresholds that decide whether
-a circumcenter exists.
+"""Small dense linear algebra: the one rank rule, orthogonal complements,
+affine-hull bases, and the three thresholds that decide whether a
+circumcenter exists.
 
-Everything in this module is sized for tiny problems (dimensions and family
-sizes in the single digits), so the implementations favour determinism over
-asymptotic speed.  The thresholds :data:`RANK_TOL`, :data:`EQ_TOL` and
+The rank rule, :func:`_pivoted_gram_schmidt`, decides batches of families
+for the circumcenter kernel and single families, through its N = 1 call
+:func:`orthonormal_basis`, for subspace set-up.  Everything here is sized for
+tiny problems (dimensions and family sizes in the single digits), so the
+implementations favour determinism over asymptotic speed.  The thresholds :data:`RANK_TOL`, :data:`EQ_TOL` and
 :data:`DUP_TOL` are module constants read where they are applied, never
 parameters; each is relative to the scale of the data it is applied to.
 """
@@ -62,51 +64,96 @@ def _check_same_dim(vectors) -> int:
     return dims.pop()
 
 
-def orthonormal_basis(vectors, scale: float | None = None):
-    """Column-pivoted Gram-Schmidt with one reorthogonalization pass.
+def _dot(u, v):
+    """Inner products of rows-last arrays (..., n, N) over their coordinate
+    axis, accumulated one coordinate at a time.  Both evaluations below sum in
+    that order, so they agree bit for bit.  One accumulate costs fewer calls
+    than the loop, but its inner loop runs along the strided coordinate axis.
+    With ``circumcenter._sum_points`` switched the same way, on a 2-vCPU
+    x86_64 VM (``BENCH_20.json``, ``cutoff_3_points_us``) the accumulate form
+    made the three-point kernel faster at every N <= 32 measured (99 against
+    116 us at N = 1 for n = 2, 99 against 134 us for n = 3), and the loop was
+    faster from N = 64 for n = 2 and N = 128 for n = 3."""
+    if u.shape[-1] <= 16:
+        return np.add.accumulate(u * v, axis=-2)[..., -1, :]
+    out = u[..., 0, :] * v[..., 0, :]
+    for k in range(1, u.shape[-2]):
+        out += u[..., k, :] * v[..., k, :]
+    return out
 
-    Returns ``(basis, pivots)`` where ``basis`` is an orthonormal list spanning
-    the input family (up to :data:`RANK_TOL`) and ``pivots`` indexes a maximal
-    linearly independent subfamily of the inputs.  At every step the remaining
-    vector with the largest residual norm is selected (ties break to the lowest
-    index); a candidate whose residual norm is at most ``RANK_TOL`` times the
-    largest input norm is rejected together with everything after it.  Pass an
-    explicit ``scale`` when the inputs are residuals of a larger computation
-    whose scale should govern the rank decision.
+
+def _norms(v):
+    """Euclidean norms of rows-last arrays (..., n, N)."""
+    return np.sqrt(_dot(v, v))
+
+
+def _pick(A, i, rows):
+    """``A[i[r], :, r]`` for every row r of ``A`` (m, n, N), as (n, N) in C
+    order, so that later steps run along the contiguous row axis."""
+    return np.ascontiguousarray(A[i, :, rows].T)
+
+
+def _pivoted_gram_schmidt(D, threshold, remaining):
+    """Column-pivoted Gram-Schmidt with one reorthogonalization pass over the
+    ``remaining`` (m, N) vectors of ``D`` (m, n, N), stacked rows-last: the
+    only rank rule.  ``remaining`` is updated in place.
+
+    Each step takes the remaining vector with the largest residual norm (the
+    lowest index on ties).  A residual norm at most ``threshold`` (N,) ends
+    the row; a candidate whose reorthogonalized norm is at most that is
+    dropped, with a zero direction, while the search goes on.  Returns, per
+    step, the unit direction q (n, N), the accepted index (-1 where there is
+    none) and the picked vector of ``D`` itself.  Each row's steps depend on
+    that row alone.
+    """
+    rows = np.arange(D.shape[-1])
+    active = np.ones(D.shape[-1], dtype=bool)
+    residuals = D
+    Q, steps, picked = [], [], []
+    # No row takes more steps than it has candidates, and the last step
+    # needs no residual update.
+    last = remaining.sum(axis=0).max(initial=0) - 1
+    for k in range(last + 1):
+        norms = np.where(remaining, _norms(residuals), -1.0)
+        best = norms.argmax(axis=0)
+        active = active & (norms.max(axis=0) > threshold)
+        if not active.any():
+            # Every row has reached its rank; later steps change nothing.
+            break
+        q = _pick(residuals, best, rows)
+        # Second orthogonalization pass stabilizes nearly dependent inputs.
+        for b in Q:
+            q = q - _dot(q, b) * b
+        nq = _norms(q)
+        accept = active & (nq > threshold)
+        Q.append(np.where(accept, q / np.where(accept, nq, 1.0), 0.0))
+        steps.append(np.where(accept, best, -1))
+        picked.append(_pick(D, best, rows))
+        if k < last:
+            remaining[best, rows] = False
+            residuals = residuals - _dot(residuals, Q[-1])[:, None] * Q[-1]
+    return Q, steps, picked
+
+
+def orthonormal_basis(vectors, scale: float | None = None):
+    """``(basis, pivots)``: an orthonormal list spanning ``vectors`` and the
+    indices of the maximal linearly independent subfamily it was built from,
+    as the N = 1 call of :func:`_pivoted_gram_schmidt`.  A direction counts
+    when its residual norm is above ``RANK_TOL`` times ``scale``, which
+    defaults to the largest input norm; pass it explicitly when the inputs
+    are residuals of a larger computation whose scale should govern the rank
+    decision.
     """
     vecs = [as_vector(v) for v in vectors]
     if not vecs:
         return [], []
     _check_same_dim(vecs)
+    D = np.array(vecs)[..., None]
     if scale is None:
-        scale = max(np.linalg.norm(v) for v in vecs)
-    if scale == 0.0:
-        return [], []
-    threshold = RANK_TOL * scale
-
-    residuals = [v.copy() for v in vecs]
-    remaining = list(range(len(vecs)))
-    basis: list[np.ndarray] = []
-    pivots: list[int] = []
-    while remaining:
-        norms = [np.linalg.norm(residuals[i]) for i in remaining]
-        best = max(range(len(remaining)), key=lambda j: (norms[j], -remaining[j]))
-        if norms[best] <= threshold:
-            break
-        idx = remaining.pop(best)
-        q = residuals[idx]
-        # Second orthogonalization pass stabilizes nearly dependent inputs.
-        for b in basis:
-            q = q - np.dot(q, b) * b
-        nq = np.linalg.norm(q)
-        if nq <= threshold:
-            continue
-        q = q / nq
-        basis.append(q)
-        pivots.append(idx)
-        for i in remaining:
-            residuals[i] = residuals[i] - np.dot(residuals[i], q) * q
-    return basis, pivots
+        scale = _norms(D).max()
+    Q, steps, _ = _pivoted_gram_schmidt(D, RANK_TOL * scale, np.ones((len(D), 1), dtype=bool))
+    kept = [k for k, step in enumerate(steps) if step[0] >= 0]
+    return [Q[k][:, 0] for k in kept], [int(steps[k][0]) for k in kept]
 
 
 def orthonormal_complement(vectors, dim: int):

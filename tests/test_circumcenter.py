@@ -3,12 +3,14 @@ hand-derived value below was cross-checked against it, and the main solver is
 required to agree with it everywhere."""
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circumlib import geometry
 from circumlib.circumcenter import (
     PointSet,
     _exists_rows,
@@ -127,6 +129,22 @@ def test_projector_images_not_exists():
 def test_three_point_requires_distinct():
     with pytest.raises(ValueError):
         circumcenter_three([1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+def test_three_point_distinctness_is_the_kernel_dedup_threshold(i, j):
+    # No point is longer than 1, so the kernel's dedup threshold is DUP_TOL
+    # itself, and a gap along the first axis, where every point is 0, is a
+    # distance of exactly the gap.
+    for gap, distinct in [(DUP_TOL, False), (np.nextafter(DUP_TOL, 0.0), False),
+                          (np.nextafter(DUP_TOL, 1.0), True)]:
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        pts[j] = pts[i] + [gap, 0.0, 0.0]
+        if distinct:
+            circumcenter_three(*pts)
+        else:
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                circumcenter_three(*pts)
 
 
 def test_pointset_dedups():
@@ -249,6 +267,26 @@ def test_oracle_equivalence_random():
             assert np.linalg.norm(a.center - b.center) <= 1e-8 * (
                 1 + np.linalg.norm(b.center)
             )
+
+
+def test_oracle_shares_no_code_with_the_rank_rule(monkeypatch):
+    rng = np.random.default_rng(47)
+    sets = [_random_pointset(rng) for _ in range(300)]
+    want = [circumcenter_oracle(ps) for ps in sets]
+
+    def rank_rule(*args):
+        raise AssertionError("the rank rule was called")
+
+    monkeypatch.setattr(geometry, "_pivoted_gram_schmidt", rank_rule)
+    monkeypatch.setattr(importlib.import_module("circumlib.circumcenter"), "_pivoted_gram_schmidt",
+                        rank_rule)
+    with pytest.raises(AssertionError):
+        orthonormal_basis([[1.0, 0.0]])
+    for ps, w in zip(sets, want):
+        got = circumcenter_oracle(ps)
+        assert got.exists == w.exists
+        if got.exists:
+            assert np.array_equal(got.center, w.center) and got.radius == w.radius
 
 
 def test_continuity_under_perturbation():

@@ -8,6 +8,8 @@ from circumlib.geometry import (
     EQ_TOL,
     RANK_TOL,
     DimensionMismatchError,
+    _norms,
+    _pivoted_gram_schmidt,
     _row_norms,
     affine_hull_basis,
     orthonormal_basis,
@@ -154,6 +156,43 @@ def test_orthonormal_complement_roundtrip():
         for c in comp:
             for b in basis:
                 assert abs(np.dot(c, b)) <= 1e-10
+
+
+def _dependent_families(rng, N, m, n):
+    """N families of m vectors in R^n at scales 1e-3..1e3, stacked rows-last
+    as (m, n, N).  Each family is generic, or one vector repeats an earlier
+    one, is zero, is a multiple or a combination of earlier ones, or is that
+    combination moved by 1e-12 or 1e-8 of its norm (under or over RANK_TOL)."""
+    fams = rng.standard_normal((N, m, n)) * 10.0 ** rng.uniform(-3, 3, size=(N, 1, 1))
+    for vecs in fams:
+        kind, j = rng.integers(6), rng.integers(m)
+        earlier = vecs[:j] if j else vecs[1:]
+        if kind == 1 and m >= 2:
+            vecs[j] = earlier[rng.integers(len(earlier))]
+        elif kind == 2:
+            vecs[j] = 0.0
+        elif kind >= 3 and m >= 2:
+            vecs[j] = rng.standard_normal(len(earlier)) @ earlier
+            if kind == 5:
+                vecs[j] += rng.choice([1e-12, 1e-8]) * np.linalg.norm(vecs[j]) * rng.standard_normal(n)
+    return np.ascontiguousarray(fams.transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("N", [1, 16, 17, 40])
+def test_rank_rule_batch_rows_equal_orthonormal_basis(N):
+    # N straddles the cutoff at 16 where the inner products switch from one
+    # accumulate to a loop; both sum in the same order.
+    rng = np.random.default_rng(N)
+    for m in range(1, 6):
+        for n in range(1, 5):
+            D = _dependent_families(rng, N, m, n)
+            Q, steps, _ = _pivoted_gram_schmidt(D, RANK_TOL * _norms(D).max(axis=0),
+                                                np.ones((m, N), dtype=bool))
+            for r in range(N):
+                basis, pivots = orthonormal_basis(list(D[..., r]))
+                accepted = [k for k, step in enumerate(steps) if step[r] >= 0]
+                assert pivots == [steps[k][r] for k in accepted]
+                assert [b.tobytes() for b in basis] == [Q[k][:, r].tobytes() for k in accepted]
 
 
 def test_thresholds_are_pinned():
