@@ -335,7 +335,8 @@ def circumcenter_oracle(K: PointSet) -> CircumcenterOutcome:
     _, sv, Vt = np.linalg.svd(D, full_matrices=False)
     B = Vt[sv > RANK_TOL * sv[0]]
     A = 2.0 * D @ B.T
-    rhs = np.array([np.dot(xj, xj) - np.dot(x1, x1) - 2.0 * np.dot(x1, d) for xj, d in zip(pts[1:], D)])
+    rhs = np.array([np.dot(xj, xj) - np.dot(x1, x1) - 2.0 * np.dot(x1, d)
+                    for xj, d in zip(pts[1:], D)])
     coeff, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     center = x1 + B.T @ coeff
 

@@ -6,9 +6,10 @@ The rank rule, :func:`_pivoted_gram_schmidt`, decides batches of families
 for the circumcenter kernel and single families, through its N = 1 call
 :func:`orthonormal_basis`, for subspace set-up.  Everything here is sized for
 tiny problems (dimensions and family sizes in the single digits), so the
-implementations favour determinism over asymptotic speed.  The thresholds :data:`RANK_TOL`, :data:`EQ_TOL` and
-:data:`DUP_TOL` are module constants read where they are applied, never
-parameters; each is relative to the scale of the data it is applied to.
+implementations favour determinism over asymptotic speed.  The thresholds
+:data:`RANK_TOL`, :data:`EQ_TOL` and :data:`DUP_TOL` are module constants
+read where they are applied, never parameters; each is relative to the scale
+of the data it is applied to.
 """
 
 from __future__ import annotations

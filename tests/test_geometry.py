@@ -160,21 +160,23 @@ def test_orthonormal_complement_roundtrip():
 
 def _dependent_families(rng, N, m, n):
     """N families of m vectors in R^n at scales 1e-3..1e3, stacked rows-last
-    as (m, n, N).  Each family is generic, or one vector repeats an earlier
-    one, is zero, is a multiple or a combination of earlier ones, or is that
-    combination moved by 1e-12 or 1e-8 of its norm (under or over RANK_TOL)."""
+    as (m, n, N).  Each family is generic, or one vector repeats another, is
+    zero, is a combination of the others (a multiple where there is one
+    other), or is that combination moved by 1e-12 or 1e-8 of its norm (under
+    or over RANK_TOL)."""
     fams = rng.standard_normal((N, m, n)) * 10.0 ** rng.uniform(-3, 3, size=(N, 1, 1))
     for vecs in fams:
         kind, j = rng.integers(6), rng.integers(m)
-        earlier = vecs[:j] if j else vecs[1:]
+        others = vecs[:j] if j else vecs[1:]
         if kind == 1 and m >= 2:
-            vecs[j] = earlier[rng.integers(len(earlier))]
+            vecs[j] = others[rng.integers(len(others))]
         elif kind == 2:
             vecs[j] = 0.0
         elif kind >= 3 and m >= 2:
-            vecs[j] = rng.standard_normal(len(earlier)) @ earlier
+            vecs[j] = rng.standard_normal(len(others)) @ others
             if kind == 5:
-                vecs[j] += rng.choice([1e-12, 1e-8]) * np.linalg.norm(vecs[j]) * rng.standard_normal(n)
+                shift = rng.choice([1e-12, 1e-8]) * np.linalg.norm(vecs[j])
+                vecs[j] += shift * rng.standard_normal(n)
     return np.ascontiguousarray(fams.transpose(1, 2, 0))
 
 
