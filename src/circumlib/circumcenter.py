@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (DUP_TOL, EQ_TOL, RANK_TOL, _check_same_dim, _dot, _norms, _pick,
-                       _pivoted_gram_schmidt, as_vector, orthonormal_basis)
+                       _pivoted_gram_schmidt, _substitute, as_vector, orthonormal_basis)
 
 __all__ = [
     "PointSet",
@@ -236,14 +236,7 @@ def _pivot_search(D, remaining):
     forward substitution on them.  ``remaining`` is updated in place."""
     D = D * remaining[:, None]
     Q, steps, picked = _pivoted_gram_schmidt(D, RANK_TOL * _norms(D).max(axis=0), remaining)
-    # A dropped candidate has a zero direction and a = 0, which change
-    # nothing.  Forward substitution, with R[k, j] = <d, Q[j]>:
-    a = []
-    for q, step, d in zip(Q, steps, picked):
-        accept = step >= 0
-        rhs = 0.5 * _dot(d, d) - sum(_dot(d, b) * aj for b, aj in zip(Q, a))
-        a.append(np.where(accept, rhs / np.where(accept, _dot(d, q), 1.0), 0.0))
-    return sum(aj * q for aj, q in zip(a, Q)), steps
+    return _substitute(Q, steps, picked, [0.5 * _dot(d, d) for d in picked]), steps
 
 
 def _pivot_three(uv, iu, iv, active):

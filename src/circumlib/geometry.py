@@ -1,10 +1,12 @@
-"""Small dense linear algebra: the one rank rule, orthogonal complements,
-affine-hull bases, and the three thresholds that decide whether a
-circumcenter exists.
+"""Small dense linear algebra: the one rank rule and the one forward
+substitution, orthogonal complements, affine-hull bases, and the three
+thresholds that decide whether a circumcenter exists.
 
 The rank rule, :func:`_pivoted_gram_schmidt`, decides batches of families
 for the circumcenter kernel and single families, through its N = 1 call
-:func:`orthonormal_basis`, for subspace set-up.  Everything here is sized for
+:func:`orthonormal_basis`, for subspace set-up.  :func:`_substitute` solves
+on its steps, for the kernel's circumcenters and for every affine solve of
+``operators``.  Everything here is sized for
 tiny problems (dimensions and family sizes in the single digits), so the
 implementations favour determinism over asymptotic speed.  The thresholds
 :data:`RANK_TOL`, :data:`EQ_TOL` and :data:`DUP_TOL` are module constants
@@ -157,18 +159,33 @@ def orthonormal_basis(vectors, scale: float | None = None):
     return [Q[k][:, 0] for k in kept], [int(steps[k][0]) for k in kept]
 
 
+def _substitute(Q, steps, picked, rhs):
+    """Forward substitution on the steps of :func:`_pivoted_gram_schmidt`:
+    ``Q^T a``, where ``a`` solves the lower-triangular ``R a = rhs`` with
+    ``R[k, j] = <picked[k], Q[j]>``, so that ``<picked[k], Q^T a> = rhs[k]``
+    for every accepted step k.  It is the minimum-norm solution of the
+    accepted rows.  A dropped step has a zero direction and ``a = 0``, which
+    change nothing."""
+    a = []
+    for q, step, d, r in zip(Q, steps, picked, rhs):
+        accept = step >= 0
+        r = r - sum(_dot(d, b) * aj for b, aj in zip(Q, a))
+        a.append(np.where(accept, r / np.where(accept, _dot(d, q), 1.0), 0.0))
+    return sum(aj * q for aj, q in zip(a, Q))
+
+
 def orthonormal_complement(vectors, dim: int):
-    """Orthonormal basis of the orthogonal complement of span(vectors) in R^dim."""
+    """Orthonormal basis of the orthogonal complement of span(vectors) in
+    R^dim: one pass of the rank rule over the orthonormal basis of
+    ``vectors``, doubled, followed by the unit vectors e_1, ..., e_dim, at
+    threshold ``RANK_TOL``.  Doubling is exact in floating point and makes
+    every basis row's residual about 2 against a unit vector's at most 1, so
+    the basis rows take the first pivots; the unit vectors accepted after
+    them span the complement."""
     basis, _ = orthonormal_basis(vectors)
-    if not basis:
-        return [np.eye(dim)[i] for i in range(dim)]
-    Q = np.array(basis)
-    residuals = []
-    for e in np.eye(dim):
-        r = e - Q.T @ (Q @ e)
-        r = r - Q.T @ (Q @ r)
-        residuals.append(r)
-    comp, _ = orthonormal_basis(residuals, scale=1.0)
+    D = np.concatenate([2.0 * np.reshape(basis, (-1, dim)), np.eye(dim)])[..., None]
+    Q, steps, _ = _pivoted_gram_schmidt(D, RANK_TOL, np.ones((len(D), 1), dtype=bool))
+    comp = [q[:, 0] for q, step in zip(Q, steps) if step[0] >= len(basis)]
     if len(comp) != dim - len(basis):
         raise np.linalg.LinAlgError("complement rank disagrees with span rank")
     return comp

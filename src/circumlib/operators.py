@@ -16,7 +16,12 @@ import numpy as np
 
 from .geometry import (
     EQ_TOL,
+    RANK_TOL,
     DimensionMismatchError,
+    _dot,
+    _norms,
+    _pivoted_gram_schmidt,
+    _substitute,
     affine_hull_basis,
     as_vector,
     orthonormal_basis,
@@ -125,14 +130,13 @@ class AffineSubspace:
 
     @staticmethod
     def hyperplane(normal, offset: float) -> "AffineSubspace":
-        """Solution set of ``<normal, x> = offset``."""
+        """Solution set of ``<normal, x> = offset``, solved by
+        :func:`_solution_set` at the scale of the normal."""
         n = as_vector(normal)
-        nn = np.dot(n, n)
-        if nn == 0.0:
+        scale = _norms(n[:, None])[0]
+        if scale == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
-        anchor = n * (offset / nn)
-        basis = orthonormal_complement([n], len(n))
-        return AffineSubspace(anchor, basis)
+        return _solution_set(n[None], np.array([float(offset)]), scale)
 
     # -- geometry ------------------------------------------------------------
     @property
@@ -548,13 +552,34 @@ def reflected_resolvent_const(a) -> Operator:
     return Translate(-2.0 * np.asarray(a, dtype=float))
 
 
+def _solution_set(A, b, scale: float) -> AffineSubspace | None:
+    """Solution set of ``A x = b`` for ``A`` (m, n), or ``None`` when empty.
+
+    The rank rule (:func:`geometry._pivoted_gram_schmidt`) runs on the rows of
+    ``A`` at threshold ``RANK_TOL * scale``, where ``scale`` is the size of
+    the operands ``A`` was built from; forward substitution
+    (:func:`geometry._substitute`) gives the minimum-norm solution ``x`` of
+    the accepted rows.  The system is consistent when every row's residual is
+    at most ``EQ_TOL * (1 + |b| + scale |x|)``; the directions are the
+    complement of the accepted rows.
+    """
+    D = A[..., None]
+    Q, steps, picked = _pivoted_gram_schmidt(D, RANK_TOL * scale, np.ones((len(A), 1), dtype=bool))
+    x = _substitute(Q, steps, picked, [b[step] for step in steps]) + np.zeros((A.shape[1], 1))
+    tol = EQ_TOL * (1.0 + _norms(b[:, None])[0] + scale * _norms(x)[0])
+    if (np.abs(_dot(D, x) - b[:, None]) > tol).any():
+        return None
+    rows = [q[:, 0] for q, step in zip(Q, steps) if step[0] >= 0]
+    return AffineSubspace(x[:, 0], orthonormal_complement(rows, A.shape[1]))
+
+
 def intersect_affine(subspaces) -> AffineSubspace | None:
     """Intersection of affine subspaces, or ``None`` when empty.
 
-    Each subspace contributes the constraints ``<n, x> = <n, anchor>`` over an
-    orthonormal basis of its normal space; the stacked system is solved by
-    least squares and declared inconsistent when the residual exceeds the
-    relative tolerance.
+    A point lies in a subspace exactly when its projector ``x -> P x + c``
+    fixes it, so each subspace contributes the rows ``(I - P) x = c`` of its
+    projector map; the stacked system is solved by :func:`_solution_set` at
+    the projectors' scale 1.
     """
     subs = list(subspaces)
     if not subs:
@@ -562,23 +587,8 @@ def intersect_affine(subspaces) -> AffineSubspace | None:
     n = subs[0].dim_ambient
     if any(s.dim_ambient != n for s in subs):
         raise DimensionMismatchError("subspaces live in different ambient dimensions")
-
-    rows = []
-    rhs = []
-    for s in subs:
-        for normal in orthonormal_complement(list(s.basis), n):
-            rows.append(normal)
-            rhs.append(np.dot(normal, s.anchor))
-    if not rows:
-        return AffineSubspace.full(n)
-    A = np.array(rows)
-    b = np.array(rhs)
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    scale = 1.0 + np.linalg.norm(b) + np.linalg.norm(x)
-    if np.linalg.norm(A @ x - b) > EQ_TOL * scale:
-        return None
-    directions = orthonormal_complement(rows, n)
-    return AffineSubspace(x, directions)
+    maps = np.concatenate([s.proj_map for s in subs])
+    return _solution_set(np.tile(np.eye(n), (len(subs), 1)) - maps[:, :n], maps[:, n], 1.0)
 
 
 def ambient_dim(op: Operator) -> int | None:
@@ -590,9 +600,9 @@ def fixed_point_set_affine(op: Operator, dim: int | None = None) -> AffineSubspa
     """Fixed-point set of an affine operator tree, or ``None`` when empty.
 
     The affine map ``op(x) = M x + c`` is read from the tree's structure
-    (:func:`_affine_maps`), then ``(M - I) x = -c`` is solved with a
-    consistency check.  Trees containing ball, box, or sphere nodes are
-    rejected.
+    (:func:`_affine_maps`), then ``(M - I) x = -c`` is solved by
+    :func:`_solution_set` at the scale of ``M``, its largest row norm or 1.
+    Trees containing ball, box, or sphere nodes are rejected.
     """
     if not op.affine:
         raise UnsupportedNodeError("fixed-point solve supports affine operator trees only")
@@ -605,11 +615,7 @@ def fixed_point_set_affine(op: Operator, dim: int | None = None) -> AffineSubspa
 
     Mc = _affine_maps([op], dim)[0]
     M, c = Mc[:, :dim], Mc[:, dim]
-    A = M - np.eye(dim)
-    b = -c
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    scale = 1.0 + np.linalg.norm(b) + np.linalg.norm(A, ord=2) * np.linalg.norm(x)
-    if np.linalg.norm(A @ x - b) > EQ_TOL * scale:
-        return None
-    directions = orthonormal_complement(list(A), dim)
-    return AffineSubspace(x, directions)
+    # The rank of M - I is decided at the scale of M, not of the difference,
+    # which is rounding noise where M is the identity.
+    scale = max(1.0, _norms(M[..., None]).max(initial=0.0))
+    return _solution_set(M - np.eye(dim), -c, scale)
