@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circumlib import geometry
 from circumlib.geometry import (
     DUP_TOL,
     EQ_TOL,
@@ -178,6 +179,34 @@ def _dependent_families(rng, N, m, n):
                 shift = rng.choice([1e-12, 1e-8]) * np.linalg.norm(vecs[j])
                 vecs[j] += shift * rng.standard_normal(n)
     return np.ascontiguousarray(fams.transpose(1, 2, 0))
+
+
+def test_complement_takes_every_doubled_basis_row_before_a_unit_vector(monkeypatch):
+    # The basis rows enter doubled, so their residuals (about 2) beat every
+    # unit vector's (at most 1) at each pivot, whatever the family's scale.
+    calls = []
+
+    def recording(D, threshold, remaining):
+        out = _pivoted_gram_schmidt(D, threshold, remaining)
+        calls.append(out[1])
+        return out
+
+    monkeypatch.setattr(geometry, "_pivoted_gram_schmidt", recording)
+    rng = np.random.default_rng(26)
+    for m in range(1, 6):
+        for n in range(1, 6):
+            D = _dependent_families(rng, 20, m, n) * 10.0 ** rng.uniform(-3, 3, size=20)
+            for r in range(20):
+                calls.clear()
+                comp = orthonormal_complement(list(D[..., r]), n)
+                basis = calls[0]
+                k = sum(int(step[0] >= 0) for step in basis)
+                accepted = [int(step[0]) for step in calls[1] if step[0] >= 0]
+                assert sorted(accepted[:k]) == list(range(k))
+                assert all(i >= k for i in accepted[k:])
+                frame = np.array([*orthonormal_basis(list(D[..., r]))[0], *comp])
+                assert frame.shape == (n, n)
+                assert np.abs(frame @ frame.T - np.eye(n)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("N", [1, 16, 17, 40])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circumlib.geometry import RANK_TOL
 from circumlib.operators import (
     AffineComb,
     AffineSubspace,
@@ -370,6 +371,145 @@ def test_fixed_points_reject_ball_nodes():
     ):
         with pytest.raises(UnsupportedNodeError):
             fixed_point_set_affine(op)
+
+
+# R^3 spanned by three directions: its projector and reflector are the
+# identity up to rounding.
+WHOLE_R3 = AffineSubspace.from_spanning(np.zeros(3), [[1.0, 2.0, 0.0], [0.0, 1.0, 3.0],
+                                                      [1.0, 0.0, 1.0]])
+
+
+def test_fixed_points_of_full_dimensional_nodes_are_the_whole_space():
+    # The rank of M - I is decided at the scale of M: its rounding noise is
+    # no rank.
+    for op in (ReflAffine(WHOLE_R3), ProjAffine(WHOLE_R3)):
+        fix = fixed_point_set_affine(op)
+        assert fix.dim == 3
+
+
+def test_translated_full_dimensional_reflector_has_no_fixed_points():
+    op = Compose((ScaledId(1.0), Translate([0.0, 1e-3, 0.0]), ReflAffine(WHOLE_R3)))
+    assert fixed_point_set_affine(op) is None
+
+
+def _corpus_tree(rng, n, s):
+    """A random affine tree on R^n over three random subspaces of any
+    dimension, anchored at scale ``s``: a DR average, a projector or
+    reflector word, an affine combination, or a translated reflector."""
+    subs = [AffineSubspace.from_spanning(s * rng.standard_normal(n),
+                                         list(rng.standard_normal((int(rng.integers(0, n + 1)), n))))
+            for _ in range(3)]
+    kind = rng.integers(5)
+    if kind == 0:
+        return AffineComb(((0.5, Identity()), (0.5, reflector_word(subs, (1, 2)))))
+    word = [int(i) for i in rng.integers(1, 4, size=rng.integers(1, 5))]
+    if kind == 1:
+        return projector_word(subs, word)
+    if kind == 2:
+        return reflector_word(subs, word)
+    if kind == 3:
+        w = rng.uniform(-1.0, 2.0)
+        return AffineComb(((w, ProjAffine(subs[0])), (1.0 - w, reflector_word(subs, word))))
+    t = s * rng.standard_normal(n) * rng.integers(2)
+    return Compose((ScaledId(1.0), Translate(t), ReflAffine(subs[0])))
+
+
+def _svd_fixed_point_set(M, c):
+    """``(nullity, consistent)`` of ``(M - I) x = -c`` from numpy's SVD:
+    singular values above ``RANK_TOL * max(1, |M|_2)`` count as rank, and
+    ``-c`` must lie in the span of their left singular vectors."""
+    U, sv, _ = np.linalg.svd(M - np.eye(len(M)))
+    rank = int((sv > RANK_TOL * max(1.0, np.linalg.norm(M, 2))).sum())
+    Ur = U[:, :rank]
+    residual = np.linalg.norm(c - Ur @ (Ur.T @ c))
+    return len(M) - rank, residual <= 1e-6 * (1.0 + np.linalg.norm(c))
+
+
+def test_fixed_point_sets_agree_with_an_svd_reference():
+    rng = np.random.default_rng(26)
+    disagreements, empty, whole = [], 0, 0
+    for t in range(3000):
+        n = int(rng.integers(1, 6))
+        op = _corpus_tree(rng, n, 10.0 ** rng.uniform(-4, 4))
+        Mc = _affine_maps([op], n)[0]
+        nullity, consistent = _svd_fixed_point_set(Mc[:, :n], Mc[:, n])
+        fix = fixed_point_set_affine(op, dim=n)
+        empty += not consistent
+        whole += consistent and nullity == n
+        if (fix is not None) != consistent or (consistent and fix.dim != nullity):
+            disagreements.append((t, n, nullity, consistent, fix))
+    assert disagreements == []
+    # The corpus reaches both defects' cases: no fixed point, and all of R^n.
+    assert empty >= 100 and whole >= 100
+
+
+def _dyadic_frame(rng, n):
+    """An orthogonal n x n matrix whose entries, and whose products with
+    dyadic vectors, are exact in binary: a signed permutation of the
+    identity, with a 4 x 4 Hadamard block over 2 in it where n >= 4."""
+    H = np.eye(n)
+    if n >= 4:
+        H[:4, :4] = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    H = H[rng.permutation(n)][:, rng.permutation(n)]
+    return H * rng.choice([-1.0, 1.0], size=(n, 1))
+
+
+def _dyadic(rng, size, k):
+    return rng.integers(-8, 9, size) * 2.0 ** k
+
+
+def test_intersections_agree_with_lstsq_and_the_exact_answer_on_dyadic_frames():
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        H, k = _dyadic_frame(rng, n), int(rng.integers(-20, 21))
+        p = _dyadic(rng, n, k)
+        subs, constraints = [], []
+        for _ in range(int(rng.integers(1, 4))):
+            free = rng.random(n) < 0.5
+            # Frame coordinates of the anchor: p's, moved on some coordinate
+            # so that some stacks conflict.
+            y = p + (rng.random(n) < 0.15) * 2.0 ** k
+            subs.append(AffineSubspace(y @ H, H[free]))
+            constraints += [(l, y[l]) for l in np.flatnonzero(~free)]
+        # The exact answer, coordinate by coordinate in the frame.
+        fixed = {}
+        conflict = any(fixed.setdefault(l, v) != v for l, v in constraints)
+        x = np.array([fixed.get(l, 0.0) for l in range(n)]) @ H
+        free = [l for l in range(n) if l not in fixed]
+        # The test-only least-squares reference on the stacked normals.
+        A = np.array([H[l] for l, _ in constraints]).reshape(-1, n)
+        b = np.array([v for _, v in constraints])
+        x_ls = np.linalg.lstsq(A, b, rcond=None)[0] if len(b) else np.zeros(n)
+        assert (np.abs(A @ x_ls - b).max(initial=0.0) > 1e-9 * (1.0 + np.linalg.norm(b))) == conflict
+        meet = intersect_affine(subs)
+        if conflict:
+            assert meet is None
+            continue
+        scale = 1.0 + np.linalg.norm(x)
+        assert np.linalg.norm(meet.anchor - x) <= 1e-12 * scale
+        assert np.linalg.norm(meet.anchor - x_ls) <= 1e-12 * scale
+        assert meet.dim == len(free)
+        assert np.abs(meet.basis.T @ meet.basis - H[free].T @ H[free]).max(initial=0.0) <= 1e-12
+
+
+def test_hyperplanes_agree_with_lstsq_on_dyadic_normals():
+    rng = np.random.default_rng(2027)
+    for _ in range(300):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(-20, 21))
+        normal = _dyadic(rng, n, k)
+        if not normal.any():
+            continue
+        offset = float(_dyadic(rng, 1, k)[0])
+        plane = AffineSubspace.hyperplane(normal, offset)
+        x_ls = np.linalg.lstsq(normal[None], [offset], rcond=None)[0]
+        assert np.linalg.norm(plane.anchor - x_ls) <= 1e-12 * np.linalg.norm(x_ls)
+        assert plane.dim == n - 1
+        assert np.abs(plane.basis @ normal).max(initial=0.0) <= 1e-12 * np.linalg.norm(normal)
+        # A frame row's multiple has the exact anchor offset * row / 2^k.
+        h = _dyadic_frame(rng, n)[0]
+        np.testing.assert_array_equal(AffineSubspace.hyperplane(2.0 ** k * h, offset).anchor,
+                                      offset * h / 2.0 ** k)
 
 
 def test_best_approximation_empty_intersection_raises():
