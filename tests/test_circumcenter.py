@@ -342,8 +342,13 @@ def _stacked_sets(rng, N, m, n):
     """N sets of m points in R^n at scales 1e-3..1e3, stacked rows-last as
     (m, n, N).  Each set is generic, has exact duplicates, has a near duplicate
     at 0.5 or 2 times DUP_TOL (just under or over it) or far from it (1e-5 or
-    1e5 times), or is collinear or coplanar; one stack mixes cardinalities."""
-    sets = rng.standard_normal((N, m, n)) * 10.0 ** rng.uniform(-3, 3, size=(N, 1, 1))
+    1e5 times), or is collinear or coplanar; one stack mixes cardinalities.
+    Only correctly rounded operations build it (elementwise arithmetic,
+    sums of at most three terms, square roots and scalar powers; no BLAS and
+    no vectorized power), so its bits do not depend on the BLAS kernel or
+    the SIMD paths numpy takes."""
+    sets = rng.standard_normal((N, m, n))
+    sets *= np.array([10.0 ** float(u) for u in rng.uniform(-3, 3, size=N)]).reshape(N, 1, 1)
     for pts in sets:
         kind = rng.integers(5)
         if kind == 1 and m >= 2:
@@ -353,13 +358,14 @@ def _stacked_sets(rng, N, m, n):
         elif kind == 2 and m >= 2:
             i, j = rng.choice(m, 2, replace=False)
             step = rng.standard_normal(n)
-            scale = max(np.linalg.norm(pts, axis=1).max(), 1.0)
+            scale = max(np.sqrt((pts * pts).sum(axis=1)).max(), 1.0)
             factor = rng.choice([0.5, 2.0, 1e-5, 1e5])
-            pts[j] = pts[i] + factor * DUP_TOL * scale * step / np.linalg.norm(step)
+            pts[j] = pts[i] + factor * DUP_TOL * scale * step / np.sqrt((step * step).sum())
         elif kind == 3:
             pts[:] = pts[0] + rng.standard_normal((m, 1)) * pts[1 % m]
         elif kind == 4:
-            pts[:] = pts[0] + rng.standard_normal((m, 2)) @ pts[[1 % m, 2 % m]]
+            c = rng.standard_normal((m, 2))
+            pts[:] = pts[0] + (c[:, :1] * pts[1 % m] + c[:, 1:] * pts[2 % m])
     return np.ascontiguousarray(sets.transpose(1, 2, 0))
 
 
@@ -385,8 +391,9 @@ def test_batched_kernel_rows_equal_their_own_single_calls(seed, N, m, n):
 
 # SHA-256 of exists, center, radius and card over the corpus below, as the
 # general pivot loop computes them for every m; any change to a kernel bit
-# moves it.
-KERNEL_DIGEST = "a2e8d81e525857d80d68db7d936c0b9dcea1e119bab0148200f144053aa68fe8"
+# moves it.  It is the same under OpenBLAS's SkylakeX, Haswell and Prescott
+# kernels and with numpy's AVX-512 (and then also AVX2) paths turned off.
+KERNEL_DIGEST = "9f5aae74560742ac957376f84e13a11f55d3790694fc69f016bcd78a48ee238e"
 
 
 def _kernel_digest():
