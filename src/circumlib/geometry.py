@@ -4,11 +4,11 @@ thresholds that decide whether a circumcenter exists.
 
 The rank rule, :func:`_pivoted_gram_schmidt`, decides batches of families
 for the circumcenter kernel and single families, through its N = 1 call
-:func:`orthonormal_basis`, for subspace set-up.  :func:`_substitute` solves
-on its steps, for the kernel's circumcenters and for every affine solve of
-``operators``.  Everything here is sized for
-tiny problems (dimensions and family sizes in the single digits), so the
-implementations favour determinism over asymptotic speed.  The thresholds
+:func:`orthonormal_basis`, for subspace set-up; :func:`_substitute` solves on
+its steps for the kernel and for every affine solve of ``operators``.
+Everything here is sized for tiny problems (dimensions and family sizes in
+the single digits), so the implementations favour determinism over
+asymptotic speed.  The thresholds
 :data:`RANK_TOL`, :data:`EQ_TOL` and :data:`DUP_TOL` are module constants
 read where they are applied, never parameters; each is relative to the scale
 of the data it is applied to.
@@ -138,34 +138,29 @@ def _pivoted_gram_schmidt(D, threshold, remaining):
     return Q, steps, picked
 
 
-def orthonormal_basis(vectors, scale: float | None = None):
+def orthonormal_basis(vectors):
     """``(basis, pivots)``: an orthonormal list spanning ``vectors`` and the
     indices of the maximal linearly independent subfamily it was built from,
     as the N = 1 call of :func:`_pivoted_gram_schmidt`.  A direction counts
-    when its residual norm is above ``RANK_TOL`` times ``scale``, which
-    defaults to the largest input norm; pass it explicitly when the inputs
-    are residuals of a larger computation whose scale should govern the rank
-    decision.
+    when its residual norm is above ``RANK_TOL`` times the largest input norm.
     """
     vecs = [as_vector(v) for v in vectors]
     if not vecs:
         return [], []
     _check_same_dim(vecs)
     D = np.array(vecs)[..., None]
-    if scale is None:
-        scale = _norms(D).max()
-    Q, steps, _ = _pivoted_gram_schmidt(D, RANK_TOL * scale, np.ones((len(D), 1), dtype=bool))
+    remaining = np.ones((len(D), 1), dtype=bool)
+    Q, steps, _ = _pivoted_gram_schmidt(D, RANK_TOL * _norms(D).max(), remaining)
     kept = [k for k, step in enumerate(steps) if step[0] >= 0]
     return [Q[k][:, 0] for k in kept], [int(steps[k][0]) for k in kept]
 
 
 def _substitute(Q, steps, picked, rhs):
-    """Forward substitution on the steps of :func:`_pivoted_gram_schmidt`:
-    ``Q^T a``, where ``a`` solves the lower-triangular ``R a = rhs`` with
-    ``R[k, j] = <picked[k], Q[j]>``, so that ``<picked[k], Q^T a> = rhs[k]``
-    for every accepted step k.  It is the minimum-norm solution of the
-    accepted rows.  A dropped step has a zero direction and ``a = 0``, which
-    change nothing."""
+    """``Q^T a`` for the steps of :func:`_pivoted_gram_schmidt`, where ``a``
+    solves ``<picked[k], Q^T a> = rhs[k]`` at every accepted step k by forward
+    substitution (``R[k, j] = <picked[k], Q[j]>`` is lower triangular): the
+    minimum-norm solution of the accepted rows.  A dropped step has a zero
+    direction and ``a = 0``, which change nothing."""
     a = []
     for q, step, d, r in zip(Q, steps, picked, rhs):
         accept = step >= 0
@@ -176,12 +171,10 @@ def _substitute(Q, steps, picked, rhs):
 
 def orthonormal_complement(vectors, dim: int):
     """Orthonormal basis of the orthogonal complement of span(vectors) in
-    R^dim: one pass of the rank rule over the orthonormal basis of
-    ``vectors``, doubled, followed by the unit vectors e_1, ..., e_dim, at
-    threshold ``RANK_TOL``.  Doubling is exact in floating point and makes
-    every basis row's residual about 2 against a unit vector's at most 1, so
-    the basis rows take the first pivots; the unit vectors accepted after
-    them span the complement."""
+    R^dim: the unit vectors that one pass of the rank rule, at ``RANK_TOL``,
+    accepts after the doubled orthonormal basis of ``vectors``.  Doubling is
+    exact and gives each basis row a residual of about 2, against at most 1
+    for a unit vector, so the basis rows take the first pivots."""
     basis, _ = orthonormal_basis(vectors)
     D = np.concatenate([2.0 * np.reshape(basis, (-1, dim)), np.eye(dim)])[..., None]
     Q, steps, _ = _pivoted_gram_schmidt(D, RANK_TOL, np.ones((len(D), 1), dtype=bool))

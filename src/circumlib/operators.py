@@ -14,19 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    EQ_TOL,
-    RANK_TOL,
-    DimensionMismatchError,
-    _dot,
-    _norms,
-    _pivoted_gram_schmidt,
-    _substitute,
-    affine_hull_basis,
-    as_vector,
-    orthonormal_basis,
-    orthonormal_complement,
-)
+from .geometry import (EQ_TOL, RANK_TOL, DimensionMismatchError, _dot, _norms,
+                       _pivoted_gram_schmidt, _substitute, affine_hull_basis, as_vector,
+                       orthonormal_basis, orthonormal_complement)
 
 __all__ = [
     "AffineSubspace",
@@ -553,16 +543,12 @@ def reflected_resolvent_const(a) -> Operator:
 
 
 def _solution_set(A, b, scale: float) -> AffineSubspace | None:
-    """Solution set of ``A x = b`` for ``A`` (m, n), or ``None`` when empty.
-
-    The rank rule (:func:`geometry._pivoted_gram_schmidt`) runs on the rows of
-    ``A`` at threshold ``RANK_TOL * scale``, where ``scale`` is the size of
-    the operands ``A`` was built from; forward substitution
-    (:func:`geometry._substitute`) gives the minimum-norm solution ``x`` of
-    the accepted rows.  The system is consistent when every row's residual is
-    at most ``EQ_TOL * (1 + |b| + scale |x|)``; the directions are the
-    complement of the accepted rows.
-    """
+    """Solution set of ``A x = b`` for ``A`` (m, n), or ``None`` when empty:
+    the rank rule on the rows of ``A`` at ``RANK_TOL * scale``, the size of
+    the operands ``A`` was built from; the minimum-norm solution ``x`` of the
+    accepted rows by forward substitution; consistent when every row's
+    residual is at most ``EQ_TOL * (1 + |b| + scale |x|)``; the directions
+    complement the accepted rows."""
     D = A[..., None]
     Q, steps, picked = _pivoted_gram_schmidt(D, RANK_TOL * scale, np.ones((len(A), 1), dtype=bool))
     x = _substitute(Q, steps, picked, [b[step] for step in steps]) + np.zeros((A.shape[1], 1))
