@@ -261,22 +261,17 @@ def _pivot_three(uv, iu, iv, active):
     if not active.any():
         return 0, []
     q0 = np.where(active, d / np.where(active, nd, 1.0), 0.0)
-    a0 = np.where(active, 0.5 * np.where(take_u, uu, vv) / np.where(active, _dot(d, q0), 1.0), 0.0)
-    steps = [np.where(active, np.where(take_u, iu, iv), -1)]
-    eq0 = _dot(e, q0)
-    r = e - eq0 * q0
+    Q, steps = [q0], [np.where(active, np.where(take_u, iu, iv), -1)]
+    r = e - _dot(e, q0) * q0
     active = active & (_norms(r) > threshold)
-    if not active.any():
-        return 0 + a0 * q0, steps
-    q = r - _dot(r, q0) * q0
-    nq = _norms(q)
-    accept = active & (nq > threshold)
-    q1 = np.where(accept, q / np.where(accept, nq, 1.0), 0.0)
-    # The general loop's sums start at 0, and so do these.
-    rhs = 0.5 * np.where(take_u, vv, uu) - (0 + eq0 * a0)
-    a1 = np.where(accept, rhs / np.where(accept, _dot(e, q1), 1.0), 0.0)
-    steps.append(np.where(accept, np.where(take_u, iv, iu), -1))
-    return (0 + a0 * q0) + a1 * q1, steps
+    if active.any():
+        q = r - _dot(r, q0) * q0
+        nq = _norms(q)
+        accept = active & (nq > threshold)
+        Q.append(np.where(accept, q / np.where(accept, nq, 1.0), 0.0))
+        steps.append(np.where(accept, np.where(take_u, iv, iu), -1))
+    rhs = 0.5 * np.where(take_u, uu, vv), 0.5 * np.where(take_u, vv, uu)
+    return _substitute(Q, steps, (d, e), rhs), steps
 
 
 def circumcenter_three(x, y, z) -> CircumcenterOutcome:

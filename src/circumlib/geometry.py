@@ -176,7 +176,7 @@ def orthonormal_complement(vectors, dim: int):
     exact and gives each basis row a residual of about 2, against at most 1
     for a unit vector, so the basis rows take the first pivots."""
     basis, _ = orthonormal_basis(vectors)
-    D = np.concatenate([2.0 * np.reshape(basis, (-1, dim)), np.eye(dim)])[..., None]
+    D = np.concatenate([2.0 * np.reshape(basis, (len(basis), dim)), np.eye(dim)])[..., None]
     Q, steps, _ = _pivoted_gram_schmidt(D, RANK_TOL, np.ones((len(D), 1), dtype=bool))
     comp = [q[:, 0] for q, step in zip(Q, steps) if step[0] >= len(basis)]
     if len(comp) != dim - len(basis):
