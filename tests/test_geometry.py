@@ -199,8 +199,7 @@ def test_complement_takes_every_doubled_basis_row_before_a_unit_vector(monkeypat
             for r in range(20):
                 calls.clear()
                 comp = orthonormal_complement(list(D[..., r]), n)
-                basis = calls[0]
-                k = sum(int(step[0] >= 0) for step in basis)
+                k = sum(int(step[0] >= 0) for step in calls[0])  # the rank of the family
                 accepted = [int(step[0]) for step in calls[1] if step[0] >= 0]
                 assert sorted(accepted[:k]) == list(range(k))
                 assert all(i >= k for i in accepted[k:])

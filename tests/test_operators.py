@@ -383,8 +383,7 @@ def test_fixed_points_of_full_dimensional_nodes_are_the_whole_space():
     # The rank of M - I is decided at the scale of M: its rounding noise is
     # no rank.
     for op in (ReflAffine(WHOLE_R3), ProjAffine(WHOLE_R3)):
-        fix = fixed_point_set_affine(op)
-        assert fix.dim == 3
+        assert fixed_point_set_affine(op).dim == 3
 
 
 def test_translated_full_dimensional_reflector_has_no_fixed_points():
